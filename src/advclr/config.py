@@ -197,6 +197,13 @@ def build_augment(cfg: RunConfig) -> AugmentPolicy:
                          enabled=cfg.get("augment", "enabled"))
 
 
+def _epochs(cfg: RunConfig, section: str) -> int:
+    epochs = int(cfg.require(section, "epochs"))
+    if epochs < 1:
+        raise ConfigError(f"[{section}] epochs must be >= 1, got {epochs}")
+    return epochs
+
+
 def build_pretrain(cfg: RunConfig) -> PretrainConfig:
     eps = cfg.get("pretrain", "view_epsilon")
     steps = cfg.get("pretrain", "view_steps")
@@ -204,7 +211,7 @@ def build_pretrain(cfg: RunConfig) -> PretrainConfig:
                             objective="contrastive")
     cw_view = AttackConfig("cw", eps, num_steps=steps, random_start=True,
                            objective="embedding_margin")
-    return PretrainConfig(epochs=int(cfg.require("pretrain", "epochs")),
+    return PretrainConfig(epochs=_epochs(cfg, "pretrain"),
                           batch_size=cfg.get("pretrain", "batch_size"),
                           lr0=cfg.get("pretrain", "lr0"),
                           momentum=cfg.get("pretrain", "momentum"),
@@ -216,14 +223,14 @@ def build_pretrain(cfg: RunConfig) -> PretrainConfig:
 
 
 def build_finetune(cfg: RunConfig) -> FinetuneConfig:
-    return FinetuneConfig(epochs=int(cfg.require("finetune", "epochs")),
+    return FinetuneConfig(epochs=_epochs(cfg, "finetune"),
                           batch_size=cfg.get("finetune", "batch_size"),
                           lr=cfg.get("finetune", "lr"),
                           seed=cfg.get("run", "seed"))
 
 
 def build_baseline(cfg: RunConfig) -> SupervisedConfig:
-    return SupervisedConfig(epochs=int(cfg.require("baseline", "epochs")),
+    return SupervisedConfig(epochs=_epochs(cfg, "baseline"),
                             batch_size=cfg.get("baseline", "batch_size"),
                             lr0=cfg.get("baseline", "lr0"),
                             augment=build_augment(cfg),

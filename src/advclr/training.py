@@ -261,8 +261,8 @@ def finetune(dataset: Dataset, checkpoint, num_classes: int,
         raise ValueError(f"num_classes {num_classes} != dataset classes "
                          f"{dataset.num_classes}")
     if params.num_classes != num_classes:
-        raise ValueError(f"checkpoint classifier has {params.num_classes} classes, "
-                         f"dataset has {num_classes}")
+        raise data.DataError(f"checkpoint classifier has {params.num_classes} "
+                             f"classes, dataset has {num_classes}")
     _freeze_backbone(params)
     rng = np.random.default_rng(cfg.seed)
     emb_dim = params.spec.embedding_dim

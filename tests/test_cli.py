@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from advclr import cli, evaluation
+from advclr import cli, evaluation, models
 from advclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK
 
 TINY_CFG = """
@@ -77,6 +77,25 @@ def test_config_error_exit_code(tmp_path):
 
 def test_data_error_exit_code(tmp_path):
     assert cli.main(["ingest-check", "--data-dir", str(tmp_path)]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("command,flag", [("pretrain", "--pretrain-epochs"),
+                                          ("finetune", "--finetune-epochs"),
+                                          ("baseline", "--baseline-epochs")])
+def test_zero_epochs_is_config_error(cfg_file, tmp_path, command, flag):
+    argv = [command, "--config", cfg_file, flag, "0", "--run-dir", str(tmp_path / "run")]
+    if command == "finetune":
+        argv += ["--checkpoint", str(tmp_path / "unused.ckpt")]
+    assert cli.main(argv) == EXIT_CONFIG
+
+
+def test_checkpoint_class_mismatch_is_data_error(cfg_file, tmp_path):
+    # TINY_CFG has 4 classes; the checkpoint's classifier has 5
+    ckpt = str(tmp_path / "five.ckpt")
+    models.save_checkpoint(ckpt, models.init_params(
+        models.EncoderSpec("toy_conv", (4, 6, 8)), num_classes=5, seed=0, proj_dim=8))
+    assert cli.main(["finetune", "--config", cfg_file, "--checkpoint", ckpt,
+                     "--run-dir", str(tmp_path / "ft")]) == EXIT_DATA
 
 
 def test_gradcheck_passes(capsys):

@@ -57,16 +57,28 @@ class TestInit:
 
 
 class TestEncode:
-    def test_eval_mode_is_per_sample(self):
-        # same image alone vs inside a batch: identical embedding row
-        spec = EncoderSpec("toy_conv", (4, 6, 8))
+    @pytest.mark.parametrize("spec", [EncoderSpec("toy_conv", (4, 6, 8)),
+                                      EncoderSpec("resnet_small", (4, 6),
+                                                  blocks_per_stage=1)],
+                             ids=lambda s: s.kind)
+    def test_eval_mode_is_per_sample(self, spec):
+        # same image alone vs inside a batch: identical embedding row and
+        # input-gradient row (batch is the conv GEMM's inner dimension)
         params = models.init_params(spec, 4, seed=1)
         rng = np.random.default_rng(1)
         batch = rand_images(rng, 4)
-        single = models.encode(params, batch[:1]).data
-        grouped = models.encode(params, batch).data
+
+        def embed_and_grad(images):
+            tape = T.Tape()
+            x = tape.leaf(images, requires_grad=True)
+            emb = models.encode(params, x)
+            return emb.data, tape.backward(T.mul(emb, emb).sum())[x.handle]
+
+        single, single_grad = embed_and_grad(batch[:1])
+        grouped, grouped_grad = embed_and_grad(batch)
         # blas kernels may differ per batch size; values agree to rounding
         np.testing.assert_allclose(single[0], grouped[0], rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(single_grad[0], grouped_grad[0], rtol=1e-5, atol=1e-6)
 
     def test_zero_image_finite(self):
         spec = EncoderSpec("toy_conv", (4, 6, 8))

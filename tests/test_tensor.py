@@ -62,6 +62,24 @@ class TestForward:
         b = T.conv2d(constant(x), constant(w), stride=2, pad=1).data
         assert np.array_equal(a, b)
 
+        # same values held in batch-last memory, as a previous conv leaves them
+        x_last = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        assert not x_last.flags["C_CONTIGUOUS"]
+        upstream = rng.normal(size=a.shape).astype(np.float32)
+
+        def conv_and_grads(xd):
+            tape = Tape()
+            xt = tape.leaf(x, requires_grad=True)
+            xt.data = xd  # leaf() stores C order; keep the caller's memory order
+            wt = tape.leaf(w, requires_grad=True)
+            out = T.conv2d(xt, wt, stride=2, pad=1)
+            grads = tape.backward(T.mul(out, constant(upstream)).sum())
+            return out.data, grads[xt.handle], grads[wt.handle]
+
+        for got, want in zip(conv_and_grads(x_last), conv_and_grads(x)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
     def test_l2_normalize_unit_rows(self):
         rng = np.random.default_rng(1)
         out = T.l2_normalize(constant(rng.normal(size=(5, 7))))
@@ -179,6 +197,11 @@ OP_CASES = [
     ("conv_s1p1", lambda t, c: T.conv2d(t, c[0], 1, 1), [(2, 3, 6, 6), (4, 3, 3, 3)]),
     ("conv_s2p0", lambda t, c: T.conv2d(t, c[0], 2, 0), [(2, 2, 7, 7), (3, 2, 3, 3)]),
     ("conv_weights", lambda t, c: T.conv2d(c[0], t, 2, 1), [(2, 2, 3, 3), (1, 2, 6, 6)]),
+    # a conv output (a batch-last view) feeding the next op
+    ("conv_relu_conv", lambda t, c: T.conv2d(T.relu(T.conv2d(t, c[0], 1, 1)), c[1], 2, 1),
+     [(2, 3, 6, 6), (4, 3, 3, 3), (2, 4, 3, 3)]),
+    ("conv_maxpool", lambda t, c: T.max_pool2(T.conv2d(t, c[0], 1, 1)),
+     [(2, 3, 4, 4), (4, 3, 3, 3)]),
     ("max_pool2", lambda t, c: T.max_pool2(t), [(2, 3, 4, 4)]),
     ("global_avg_pool", lambda t, c: T.global_avg_pool(t), [(2, 3, 4, 4)]),
     ("batch_affine_4d", lambda t, c: T.batch_affine(t, c[0], c[1]),
