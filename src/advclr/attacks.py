@@ -1,9 +1,13 @@
 """White-box L-infinity input attacks: FGSM, PGD, and a margin-loss CW.
 
-Every attack ascends a scalar objective, keeps iterates inside the eps-ball
-around the clean input intersected with the [0, 1] pixel range, and never
-touches model weights. PGD and CW track the best objective per sample over
-all visited iterates (including the start point) and return that iterate.
+All three are one engine, :func:`run_attack`: projected sign-gradient ascent
+of a scalar objective on the eps-ball around the clean input intersected with
+the [0, 1] pixel range; model weights are never touched. FGSM takes one step
+of size epsilon and returns that point. PGD and CW take ``num_steps`` steps,
+optionally from a random start, and return each sample's best visited iterate
+(start point included). ``DEFAULT_OBJECTIVES`` gives each kind's objective
+when ``cfg.objective`` is unset. ``fgsm``, ``pgd`` and ``cw`` are aliases of
+``run_attack``: each runs ``cfg.kind``.
 
 Objectives (all "ascend to attack"):
 
@@ -26,7 +30,13 @@ from . import losses, models, tensor as T
 from .losses import ContrastiveBatch
 from .tensor import NumericError, Tensor
 
-ATTACK_KINDS = ("fgsm", "pgd", "cw")
+# kind -> (objective with labels, objective with reference embeddings only)
+DEFAULT_OBJECTIVES = {
+    "fgsm": ("supervised_ce", "embedding_repel"),
+    "pgd": ("supervised_ce", "contrastive"),
+    "cw": ("supervised_margin", "embedding_margin"),
+}
+ATTACK_KINDS = tuple(DEFAULT_OBJECTIVES)
 OBJECTIVES = ("supervised_ce", "supervised_margin", "embedding_repel",
               "embedding_margin", "contrastive")
 
@@ -132,18 +142,10 @@ def _objective_graph(params: models.ModelParams, x: Tensor, mode: str,
         per = T.neg(_margin_terms(sims, eye, kappa))
         return per.mean(), per.data
     if mode == "contrastive":
-        exclude = np.eye(b, dtype=bool)
         batch = ContrastiveBatch(z, T.constant(ref), T.constant(ref),
-                                 exclude, ctx.temperature)
-        loss = losses.info_nce(batch)
-        # per-sample values come from an equivalent eval-only recomputation
-        sims = z.data @ ref.T / ctx.temperature
-        pos = np.einsum("ij,ij->i", z.data, ref) / ctx.temperature
-        neg = np.where(exclude, losses.MASK_VALUE, sims)
-        logits_np = np.concatenate([pos[:, None], neg], axis=1)
-        shifted = logits_np - logits_np.max(axis=1, keepdims=True)
-        per = -(shifted[:, 0] - np.log(np.exp(shifted).sum(axis=1)))
-        return loss, per
+                                 np.eye(b, dtype=bool), ctx.temperature)
+        per = losses.info_nce_terms(batch)
+        return per.mean(), per.data
     raise ValueError(f"unknown objective {mode!r}")
 
 
@@ -168,28 +170,21 @@ def attack_objective(model: models.ModelParams, x, mode: str,
     return float(scalar.data)
 
 
-def _default_objective(cfg: AttackConfig, ctx: AttackContext) -> str:
+def objective_for(cfg: AttackConfig, supervised: bool) -> str:
+    """``cfg.objective`` if set, else the kind's default for the context."""
     if cfg.objective is not None:
         return cfg.objective
-    if ctx.labels is not None:
-        return "supervised_margin" if cfg.kind == "cw" else "supervised_ce"
-    if cfg.kind == "cw":
-        return "embedding_margin"
-    return "contrastive" if cfg.kind == "pgd" else "embedding_repel"
+    return DEFAULT_OBJECTIVES[cfg.kind][0 if supervised else 1]
 
 
-def fgsm(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
-         context: AttackContext) -> np.ndarray:
-    """Single step of size epsilon along the sign of the input gradient."""
+def run_attack(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
+               context: AttackContext) -> np.ndarray:
+    """Attack a batch with ``cfg.kind``'s step schedule; see the module doc."""
     x = np.asarray(x, dtype=np.float32)
-    mode = _default_objective(cfg, context)
-    _, grad = _eval_objective(model, x, mode, context, cfg.kappa, want_grad=True)
-    return np.clip(x + np.float32(cfg.epsilon) * np.sign(grad), 0.0, 1.0)
-
-
-def _iterative_attack(model, x, cfg: AttackConfig, context: AttackContext,
-                      mode: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float32)
+    mode = objective_for(cfg, context.labels is not None)
+    if cfg.kind == "fgsm":
+        _, grad = _eval_objective(model, x, mode, context, cfg.kappa, want_grad=True)
+        return np.clip(x + np.float32(cfg.epsilon) * np.sign(grad), 0.0, 1.0)
     eps = np.float32(cfg.epsilon)
     step = np.float32(cfg.step)
     cur = x
@@ -197,50 +192,21 @@ def _iterative_attack(model, x, cfg: AttackConfig, context: AttackContext,
         rng = context.rng if context.rng is not None else np.random.default_rng()
         noise = rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape).astype(np.float32)
         cur = project_linf(x + noise, x, eps)
-    best_x = cur
-    best_val = None
-    for _ in range(cfg.num_steps):
+    best_x, best_val = cur, np.full(len(x), -np.inf)
+    for i in range(cfg.num_steps + 1):
+        # the last evaluation only scores the final iterate, so needs no gradient
+        stepping = i < cfg.num_steps
         per, grad = _eval_objective(model, cur, mode, context, cfg.kappa,
-                                    want_grad=True)
-        if best_val is None:
-            best_val, best_x = per, cur
-        else:
-            improved = per >= best_val
-            if improved.any():
-                best_val = np.where(improved, per, best_val)
-                best_x = np.where(improved.reshape((-1,) + (1,) * (x.ndim - 1)),
-                                  cur, best_x)
-        cur = project_linf(cur + step * np.sign(grad), x, eps)
-    per, _ = _eval_objective(model, cur, mode, context, cfg.kappa, want_grad=False)
-    improved = per >= best_val
-    if improved.any():
-        best_x = np.where(improved.reshape((-1,) + (1,) * (x.ndim - 1)),
-                          cur, best_x)
+                                    want_grad=stepping)
+        improved = per >= best_val
+        if improved.any():
+            best_val = np.where(improved, per, best_val)
+            best_x = np.where(improved.reshape((-1,) + (1,) * (x.ndim - 1)),
+                              cur, best_x)
+        if stepping:
+            cur = project_linf(cur + step * np.sign(grad), x, eps)
     return np.asarray(best_x, dtype=np.float32)
 
 
-def pgd(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
-        context: AttackContext) -> np.ndarray:
-    """Iterated sign-gradient ascent with per-step projection onto the ball."""
-    return _iterative_attack(model, x, cfg, context, _default_objective(cfg, context))
-
-
-def cw(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
-       context: AttackContext) -> np.ndarray:
-    """Margin-loss attack run as projected sign-gradient ascent on the ball."""
-    if cfg.objective is not None:
-        mode = cfg.objective
-    elif context.labels is not None:
-        mode = "supervised_margin"
-    else:
-        mode = "embedding_margin"
-    return _iterative_attack(model, x, cfg, context, mode)
-
-
-def run_attack(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
-               context: AttackContext) -> np.ndarray:
-    if cfg.kind == "fgsm":
-        return fgsm(model, x, cfg, context)
-    if cfg.kind == "pgd":
-        return pgd(model, x, cfg, context)
-    return cw(model, x, cfg, context)
+# the kind-named entry points; each runs cfg.kind
+fgsm = pgd = cw = run_attack

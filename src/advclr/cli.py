@@ -84,17 +84,7 @@ def _load_config(args) -> RunConfig:
         "attacks.epsilons": ([float(e) for e in args.epsilons.split(",")]
                              if args.epsilons else None),
     }
-    if args.config:
-        return cfgmod.parse_config(args.config, overrides)
-    cfg = cfgmod.default_config()
-    env_dir = os.environ.get(cfgmod.DATA_DIR_ENV)
-    if env_dir:
-        cfg.values["data"]["dir"] = env_dir
-    for dotted, value in overrides.items():
-        if value is not None:
-            section, _, key = dotted.partition(".")
-            cfg.values[section][key] = value
-    return cfg
+    return cfgmod.parse_config(args.config, overrides)
 
 
 def _run_dir(args, cfg: RunConfig, command: str) -> str:

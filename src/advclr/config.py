@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from .attacks import AttackConfig
 from .data import AugmentPolicy, Dataset, load_cifar10, make_synthetic
 from .models import EncoderSpec
-from .training import PretrainConfig, FinetuneConfig, SupervisedConfig
+from .training import (PretrainConfig, FinetuneConfig, SupervisedConfig,
+                       default_view_attacks)
 
 DATA_DIR_ENV = "ADVCLR_DATA_DIR"
 
@@ -109,18 +110,22 @@ def default_config() -> RunConfig:
     return RunConfig(values)
 
 
-def parse_config(path: str, overrides: dict[str, object] | None = None) -> RunConfig:
+def parse_config(path: str | None = None,
+                 overrides: dict[str, object] | None = None) -> RunConfig:
     """Parse and validate a config file, then apply flag/env overrides.
 
+    ``path`` None means no file: the defaults, then the overrides.
     ``overrides`` maps "section.key" to already-typed values.
     """
     cfg = default_config()
-    cfg.path = path
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    lines = []
+    if path is not None:
+        cfg.path = path
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
     section = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -205,12 +210,8 @@ def _epochs(cfg: RunConfig, section: str) -> int:
 
 
 def build_pretrain(cfg: RunConfig) -> PretrainConfig:
-    eps = cfg.get("pretrain", "view_epsilon")
-    steps = cfg.get("pretrain", "view_steps")
-    pgd_view = AttackConfig("pgd", eps, num_steps=steps, random_start=True,
-                            objective="contrastive")
-    cw_view = AttackConfig("cw", eps, num_steps=steps, random_start=True,
-                           objective="embedding_margin")
+    pgd_view, cw_view = default_view_attacks(cfg.get("pretrain", "view_epsilon"),
+                                             cfg.get("pretrain", "view_steps"))
     return PretrainConfig(epochs=_epochs(cfg, "pretrain"),
                           batch_size=cfg.get("pretrain", "batch_size"),
                           lr0=cfg.get("pretrain", "lr0"),

@@ -88,22 +88,17 @@ def robust_accuracy(model: ModelParams, dataset: Dataset, attack: AttackConfig,
                     seed: int = 0, batch_size: int = 256) -> float:
     """Accuracy after attacking every image with a supervised objective."""
     _check_model_dataset(model, dataset)
-    objective = attack.objective
-    if objective is None:
-        objective = "supervised_margin" if attack.kind == "cw" else "supervised_ce"
+    objective = attacks.objective_for(attack, supervised=True)
     if not objective.startswith("supervised"):
         raise ValueError(f"evaluation attacks need a supervised objective, "
                          f"got {objective!r}")
-    cfg = attacks.AttackConfig(attack.kind, attack.epsilon, attack.step_size,
-                               attack.num_steps, attack.random_start,
-                               objective, attack.kappa)
     rng = np.random.default_rng(seed)
     correct = 0
     for start in range(0, len(dataset), batch_size):
         images = dataset.images[start:start + batch_size]
         labels = dataset.labels[start:start + batch_size]
         ctx = AttackContext(labels=labels, rng=rng)
-        x_adv = attacks.run_attack(model, images, cfg, ctx)
+        x_adv = attacks.run_attack(model, images, attack, ctx)
         correct += int((_predict(model, x_adv) == labels).sum())
     return correct / len(dataset)
 
@@ -118,8 +113,7 @@ def eval_table(model_list: Sequence[tuple[str, ModelParams]],
     for model_id, params in model_list:
         cells = []
         for i, cfg in enumerate(attack_list):
-            objective = cfg.objective or (
-                "supervised_margin" if cfg.kind == "cw" else "supervised_ce")
+            objective = attacks.objective_for(cfg, supervised=True)
             cell_seed = seed * 100003 + i
             acc = robust_accuracy(params, dataset, cfg, seed=cell_seed,
                                   batch_size=batch_size)

@@ -66,8 +66,8 @@ class ViewTriple:
     z_cw: Tensor
 
 
-def info_nce(batch: ContrastiveBatch) -> Tensor:
-    """One-positive-vs-pool softmax loss, averaged over anchors.
+def info_nce_terms(batch: ContrastiveBatch) -> Tensor:
+    """Per-anchor one-positive-vs-pool softmax loss, shape (B,).
 
     For each anchor: -log( e^(pos/t) / (e^(pos/t) + sum_j e^(neg_j/t)) ),
     computed with the usual max-shift for stability.
@@ -92,7 +92,12 @@ def info_nce(batch: ContrastiveBatch) -> Tensor:
     logp = T.log_softmax(logits)
     picker = np.zeros((b, p + 1), dtype=anchors.data.dtype)
     picker[:, 0] = 1.0
-    return T.neg(T.mul(logp, T.constant(picker)).sum(axis=1).mean())
+    return T.neg(T.mul(logp, T.constant(picker)).sum(axis=1))
+
+
+def info_nce(batch: ContrastiveBatch) -> Tensor:
+    """:func:`info_nce_terms` averaged over anchors."""
+    return info_nce_terms(batch).mean()
 
 
 def adv_contrastive(views: ViewTriple, temperature: float = 0.1) -> Tensor:

@@ -81,9 +81,6 @@ class ModelParams:
                            {k: v.copy() for k, v in self.buffers.items()},
                            set(self.frozen))
 
-    def trainable(self) -> list[str]:
-        return [k for k in self.arrays if k not in self.frozen]
-
 
 def _he(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
     return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)
@@ -345,15 +342,6 @@ def save_checkpoint(path: str, params: ModelParams, meta: dict | None = None):
         for name in names:
             source = params.arrays if name in params.arrays else params.buffers
             fh.write(np.ascontiguousarray(source[name], dtype="<f4").tobytes())
-
-
-def read_checkpoint_header(path: str) -> dict:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        (length,) = np.frombuffer(fh.read(4), dtype="<u4")
-        return json.loads(fh.read(int(length)).decode("utf-8"))
 
 
 def load_checkpoint(path: str) -> ModelParams:

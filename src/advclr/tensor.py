@@ -128,8 +128,10 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes: list[tuple[int, list[tuple[Tensor, Callable]]]] = []
-        self._leaves: list[Tensor] = []
+        # handles and arrays, never Tensors: a Tensor points at its tape, and
+        # the cycle would keep a finished tape alive until the cyclic GC runs
+        self._nodes: list[tuple[int, list[tuple[int, Callable]]]] = []
+        self._leaves: list[tuple[int, np.ndarray]] = []
         self._count = 0
 
     def _next_handle(self) -> int:
@@ -142,7 +144,7 @@ class Tape:
         t = Tensor(_as_array(value, dtype), self, requires_grad, requires_grad,
                    self._next_handle())
         if requires_grad:
-            self._leaves.append(t)
+            self._leaves.append((t.handle, t.data))
         return t
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
@@ -161,14 +163,14 @@ class Tape:
             g = grads.pop(out_handle, None)
             if g is None:
                 continue
-            for t, pull in pulls:
+            for handle, pull in pulls:
                 contrib = pull(g)
-                if t.handle in grads:
-                    grads[t.handle] = grads[t.handle] + contrib
+                if handle in grads:
+                    grads[handle] = grads[handle] + contrib
                 else:
-                    grads[t.handle] = contrib
-        return {t.handle: grads.get(t.handle, np.zeros_like(t.data))
-                for t in self._leaves}
+                    grads[handle] = contrib
+        return {handle: grads.get(handle, np.zeros_like(data))
+                for handle, data in self._leaves}
 
 
 def _check_dtypes(op: str, tensors: Sequence[Tensor]):
@@ -191,7 +193,7 @@ def _result(op: str, out: np.ndarray, pulls: list[tuple[Tensor, Callable]]) -> T
         return Tensor(out)
     res = Tensor(out, tape, False, needs, tape._next_handle())
     if needs:
-        tape._nodes.append((res.handle, [(t, p) for t, p in pulls if t.needs_grad]))
+        tape._nodes.append((res.handle, [(t.handle, p) for t, p in pulls if t.needs_grad]))
     return res
 
 

@@ -246,6 +246,27 @@ class TestCw:
         assert wins * 2 >= len(seeds)
 
 
+@pytest.mark.parametrize("supervised", [True, False], ids=["labels", "reference"])
+@pytest.mark.parametrize("kind", attacks.ATTACK_KINDS)
+def test_one_engine_reads_the_objective_table(kind, supervised):
+    params = small_model()
+    rng = np.random.default_rng(15)
+    x = images(rng, 3)
+    if supervised:
+        ctx = AttackContext(labels=rng.integers(0, 4, 3))
+    else:
+        ctx = AttackContext(reference=models.project(params, models.encode(params, x)).data)
+    cfg = AttackConfig(kind, 0.03, num_steps=2)
+    assert attacks.objective_for(cfg, supervised) == \
+        attacks.DEFAULT_OBJECTIVES[kind][0 if supervised else 1]
+    explicit = AttackConfig(kind, 0.03, objective="embedding_repel")
+    assert attacks.objective_for(explicit, supervised) == "embedding_repel"
+    # every kind-named entry point runs cfg.kind, whichever name is called
+    expected = attacks.run_attack(params, x, cfg, ctx)
+    for name in attacks.ATTACK_KINDS:
+        np.testing.assert_array_equal(getattr(attacks, name)(params, x, cfg, ctx), expected)
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from(["fgsm", "pgd", "cw"]),
        st.sampled_from([0.03, 0.06, 0.08]),

@@ -79,6 +79,22 @@ def test_data_error_exit_code(tmp_path):
     assert cli.main(["ingest-check", "--data-dir", str(tmp_path)]) == EXIT_DATA
 
 
+def test_ingest_check_without_config_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ADVCLR_DATA_DIR", raising=False)
+    assert cli.main(["ingest-check"]) == EXIT_CONFIG
+    env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
+    env_dir.mkdir()
+    flag_dir.mkdir()
+    monkeypatch.setenv("ADVCLR_DATA_DIR", str(env_dir))
+    capsys.readouterr()
+    assert cli.main(["ingest-check"]) == EXIT_DATA
+    assert str(env_dir) in capsys.readouterr().err
+    # the flag wins over the environment
+    assert cli.main(["ingest-check", "--data-dir", str(flag_dir)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(flag_dir) in err and str(env_dir) not in err
+
+
 @pytest.mark.parametrize("command,flag", [("pretrain", "--pretrain-epochs"),
                                           ("finetune", "--finetune-epochs"),
                                           ("baseline", "--baseline-epochs")])

@@ -24,6 +24,16 @@ def nce_bruteforce(anchor, positive, negatives, tau):
     return -math.log(math.exp(pos) / denom)
 
 
+def nce_terms_numpy(anchors, positives, pool, exclude, tau):
+    """Per-anchor reference in plain numpy: excluded pool entries get MASK_VALUE."""
+    sims = anchors @ pool.T / tau
+    pos = np.einsum("ij,ij->i", anchors, positives) / tau
+    neg = np.where(exclude, losses.MASK_VALUE, sims)
+    logits = np.concatenate([pos[:, None], neg], axis=1)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return -(shifted[:, 0] - np.log(np.exp(shifted).sum(axis=1)))
+
+
 class TestCosine:
     def test_self(self):
         v = np.array([0.3, -0.4, 1.2])
@@ -83,6 +93,20 @@ class TestInfoNCE:
             for i in range(4)])
         # masked entries contribute exp(-1e9/..) ~ 0, not exactly 0
         assert value == pytest.approx(expected, abs=1e-9)
+
+    def test_terms_match_numpy_reference(self):
+        rng = np.random.default_rng(14)
+        anchors, positives = unit_rows(rng, 6, 8), unit_rows(rng, 6, 8)
+        pool = unit_rows(rng, 10, 8)
+        exclude = rng.random((6, 10)) < 0.3
+        batch = ContrastiveBatch(*(constant(a, dtype=np.float32)
+                                   for a in (anchors, positives, pool)),
+                                 exclude, 0.1)
+        terms = losses.info_nce_terms(batch)
+        assert terms.shape == (6,) and terms.dtype == np.float32
+        expected = nce_terms_numpy(anchors, positives, pool, exclude, 0.1)
+        np.testing.assert_allclose(terms.data, expected, rtol=1e-5, atol=1e-5)
+        assert losses.info_nce(batch).data.tobytes() == terms.mean().data.tobytes()
 
     def test_rescaling_embeddings_is_invariant(self):
         rng = np.random.default_rng(4)

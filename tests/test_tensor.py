@@ -1,5 +1,8 @@
 """Autodiff core: forward values, backward vs finite differences, contracts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,27 @@ class TestBackward:
             return T.mul(T.matmul(h, b), T.matmul(h, b)).sum()
 
         assert T.grad_check(net, theta0) <= 1e-4
+
+    def test_finished_tape_freed_without_cyclic_gc(self):
+        # Tensors point at their tape; if the tape pointed back, a finished
+        # step's tape (and every array its pulls keep) would wait for the GC
+        rng = np.random.default_rng(8)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape = Tape()
+            x = tape.leaf(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+            w = tape.leaf(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+            h = T.global_avg_pool(T.max_pool2(T.relu(T.conv2d(x, w))))
+            loss = T.neg(T.log_softmax(h).sum())
+            grads = tape.backward(loss)
+            assert set(grads) == {x.handle, w.handle}
+            ref = weakref.ref(tape)
+            del tape, x, w, h, loss
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_mixing_tapes_rejected(self):
         t1, x1 = leaf([1.0])
