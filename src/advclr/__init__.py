@@ -1,8 +1,8 @@
 """Adversarial-contrastive pretraining and robustness evaluation toolkit."""
 
 from .tensor import Tape, Tensor, ShapeError, NumericError, constant, grad_check
-from .data import (AugmentPolicy, Batch, DataError, Dataset, LabeledImage,
-                   augment, batch_iter, load_cifar10, make_synthetic)
+from .data import (AugmentPolicy, Batch, DataError, Dataset, augment_batch,
+                   batch_iter, load_cifar10, make_synthetic)
 from .models import (EncoderSpec, ModelParams, classify, encode, init_params,
                      load_checkpoint, project, save_checkpoint, set_freeze)
 from .losses import (ContrastiveBatch, ViewTriple, adv_contrastive, cosine_sim,

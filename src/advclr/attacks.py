@@ -120,10 +120,7 @@ def _objective_graph(params: models.ModelParams, x: Tensor, mode: str,
         labels = np.asarray(ctx.labels)
         logits = models.classify(params, models.encode(params, x))
         if mode == "supervised_ce":
-            logp = T.log_softmax(logits)
-            picker = np.zeros(logits.shape, dtype=logits.data.dtype)
-            picker[np.arange(b), labels] = 1.0
-            per = T.neg(T.mul(logp, T.constant(picker)).sum(axis=1))
+            per = losses.cross_entropy_terms(logits, labels)
             return per.mean(), per.data
         onehot = np.zeros(logits.shape)
         onehot[np.arange(b), labels] = 1.0

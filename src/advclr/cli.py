@@ -49,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pretrain-epochs", type=int, help="override [pretrain] epochs")
         p.add_argument("--finetune-epochs", type=int, help="override [finetune] epochs")
         p.add_argument("--baseline-epochs", type=int, help="override [baseline] epochs")
-        p.add_argument("--epsilons", help="override [attacks] epsilons, e.g. 0.03,0.06")
+        p.add_argument("--epsilons", type=cfgmod.parse_float_list,
+                       help="override [attacks] epsilons, e.g. 0.03,0.06")
 
     p = sub.add_parser("ingest-check", help="validate a CIFAR-10 directory")
     common(p)
@@ -81,8 +82,7 @@ def _load_config(args) -> RunConfig:
         "pretrain.epochs": args.pretrain_epochs,
         "finetune.epochs": args.finetune_epochs,
         "baseline.epochs": args.baseline_epochs,
-        "attacks.epsilons": ([float(e) for e in args.epsilons.split(",")]
-                             if args.epsilons else None),
+        "attacks.epsilons": args.epsilons or None,
     }
     return cfgmod.parse_config(args.config, overrides)
 

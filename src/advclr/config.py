@@ -37,7 +37,7 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_float_list(raw: str) -> list[float]:
+def parse_float_list(raw: str) -> list[float]:
     return [float(part) for part in raw.split(",") if part.strip()]
 
 
@@ -50,7 +50,7 @@ def _parse_str_list(raw: str) -> list[str]:
 
 
 _PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str.strip,
-            "floats": _parse_float_list, "ints": _parse_int_list,
+            "floats": parse_float_list, "ints": _parse_int_list,
             "strs": _parse_str_list}
 
 # (type, default); default None means "optional, validated by the command"
@@ -190,52 +190,58 @@ def build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     return train, test
 
 
+def _checked(section: str, make, **kwargs):
+    """``make(**kwargs)``, with its ValueError reported as a config error."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def build_encoder_spec(cfg: RunConfig) -> EncoderSpec:
-    return EncoderSpec(cfg.get("model", "kind"),
-                       tuple(cfg.get("model", "widths")),
-                       cfg.get("model", "blocks_per_stage"))
+    return _checked("model", EncoderSpec, kind=cfg.get("model", "kind"),
+                    widths=tuple(cfg.get("model", "widths")),
+                    blocks_per_stage=cfg.get("model", "blocks_per_stage"))
 
 
 def build_augment(cfg: RunConfig) -> AugmentPolicy:
-    return AugmentPolicy(crop_pad=cfg.get("augment", "crop_pad"),
-                         hflip_prob=cfg.get("augment", "hflip_prob"),
-                         enabled=cfg.get("augment", "enabled"))
-
-
-def _epochs(cfg: RunConfig, section: str) -> int:
-    epochs = int(cfg.require(section, "epochs"))
-    if epochs < 1:
-        raise ConfigError(f"[{section}] epochs must be >= 1, got {epochs}")
-    return epochs
+    return _checked("augment", AugmentPolicy,
+                    crop_pad=cfg.get("augment", "crop_pad"),
+                    hflip_prob=cfg.get("augment", "hflip_prob"),
+                    enabled=cfg.get("augment", "enabled"))
 
 
 def build_pretrain(cfg: RunConfig) -> PretrainConfig:
-    pgd_view, cw_view = default_view_attacks(cfg.get("pretrain", "view_epsilon"),
-                                             cfg.get("pretrain", "view_steps"))
-    return PretrainConfig(epochs=_epochs(cfg, "pretrain"),
-                          batch_size=cfg.get("pretrain", "batch_size"),
-                          lr0=cfg.get("pretrain", "lr0"),
-                          momentum=cfg.get("pretrain", "momentum"),
-                          tau=cfg.get("pretrain", "tau"),
-                          pgd_view=pgd_view, cw_view=cw_view,
-                          augment=build_augment(cfg),
-                          seed=cfg.get("run", "seed"),
-                          checkpoint_every=cfg.get("pretrain", "checkpoint_every"))
+    pgd_view, cw_view = _checked("pretrain", default_view_attacks,
+                                 epsilon=cfg.get("pretrain", "view_epsilon"),
+                                 num_steps=cfg.get("pretrain", "view_steps"))
+    return _checked("pretrain", PretrainConfig,
+                    epochs=cfg.require("pretrain", "epochs"),
+                    batch_size=cfg.get("pretrain", "batch_size"),
+                    lr0=cfg.get("pretrain", "lr0"),
+                    momentum=cfg.get("pretrain", "momentum"),
+                    tau=cfg.get("pretrain", "tau"),
+                    pgd_view=pgd_view, cw_view=cw_view,
+                    augment=build_augment(cfg),
+                    seed=cfg.get("run", "seed"),
+                    checkpoint_every=cfg.get("pretrain", "checkpoint_every"))
 
 
 def build_finetune(cfg: RunConfig) -> FinetuneConfig:
-    return FinetuneConfig(epochs=_epochs(cfg, "finetune"),
-                          batch_size=cfg.get("finetune", "batch_size"),
-                          lr=cfg.get("finetune", "lr"),
-                          seed=cfg.get("run", "seed"))
+    return _checked("finetune", FinetuneConfig,
+                    epochs=cfg.require("finetune", "epochs"),
+                    batch_size=cfg.get("finetune", "batch_size"),
+                    lr=cfg.get("finetune", "lr"),
+                    seed=cfg.get("run", "seed"))
 
 
 def build_baseline(cfg: RunConfig) -> SupervisedConfig:
-    return SupervisedConfig(epochs=_epochs(cfg, "baseline"),
-                            batch_size=cfg.get("baseline", "batch_size"),
-                            lr0=cfg.get("baseline", "lr0"),
-                            augment=build_augment(cfg),
-                            seed=cfg.get("run", "seed"))
+    return _checked("baseline", SupervisedConfig,
+                    epochs=cfg.require("baseline", "epochs"),
+                    batch_size=cfg.get("baseline", "batch_size"),
+                    lr0=cfg.get("baseline", "lr0"),
+                    augment=build_augment(cfg),
+                    seed=cfg.get("run", "seed"))
 
 
 def build_attacks(cfg: RunConfig) -> list[AttackConfig]:
@@ -249,10 +255,10 @@ def build_attacks(cfg: RunConfig) -> list[AttackConfig]:
     for kind in kinds:
         for eps in epsilons:
             if kind == "fgsm":
-                out.append(AttackConfig("fgsm", eps))
+                out.append(_checked("attacks", AttackConfig, kind="fgsm", epsilon=eps))
             else:
-                out.append(AttackConfig(kind, eps, step_size=step_size,
-                                        num_steps=steps,
-                                        random_start=random_start and kind == "pgd",
-                                        kappa=kappa))
+                out.append(_checked("attacks", AttackConfig, kind=kind, epsilon=eps,
+                                    step_size=step_size, num_steps=steps,
+                                    random_start=random_start and kind == "pgd",
+                                    kappa=kappa))
     return out

@@ -28,12 +28,6 @@ class DataError(ValueError):
 
 
 @dataclass
-class LabeledImage:
-    pixels: np.ndarray   # (3, H, W) float32 in [0, 1]
-    label: int
-
-
-@dataclass
 class AugmentPolicy:
     crop_pad: int = 0
     hflip_prob: float = 0.0
@@ -65,9 +59,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.images.shape[0]
-
-    def __getitem__(self, i: int) -> LabeledImage:
-        return LabeledImage(self.images[i], int(self.labels[i]))
 
     @property
     def num_classes(self) -> int:
@@ -189,34 +180,13 @@ def make_synthetic(num_classes: int, per_class: int, image_size: int = 16,
     return Dataset(images, labels, names, split=split)
 
 
-def augment(image: LabeledImage, policy: AugmentPolicy,
-            rng: np.random.Generator) -> LabeledImage:
-    """Reflection-pad random crop plus random horizontal flip.
-
-    Shape and label are preserved; the rng state fully determines the output.
-    """
-    if not policy.enabled:
-        return LabeledImage(image.pixels.copy(), image.label)
-    return LabeledImage(_augment_array(image.pixels, policy, rng), image.label)
-
-
-def _augment_array(pixels: np.ndarray, policy: AugmentPolicy,
-                   rng: np.random.Generator) -> np.ndarray:
-    out = pixels
-    pad = policy.crop_pad
-    if pad > 0:
-        h, w = out.shape[1], out.shape[2]
-        padded = np.pad(out, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
-        oy, ox = rng.integers(0, 2 * pad + 1, size=2)
-        out = padded[:, oy:oy + h, ox:ox + w]
-    if policy.hflip_prob > 0 and rng.random() < policy.hflip_prob:
-        out = out[:, :, ::-1]
-    return np.ascontiguousarray(out)
-
-
 def augment_batch(images: np.ndarray, policy: AugmentPolicy,
                   rng: np.random.Generator) -> np.ndarray:
-    """Vectorized per-image augmentation with one rng stream for the batch."""
+    """Per-image reflection-pad random crop plus random horizontal flip.
+
+    Shape is preserved; one rng stream drives the whole batch, so its state
+    fully determines the output.
+    """
     if not policy.enabled:
         return images.copy()
     n, _, h, w = images.shape

@@ -124,8 +124,11 @@ def adv_contrastive(views: ViewTriple, temperature: float = 0.1) -> Tensor:
     return T.mul(T.add(first, second), 0.5)
 
 
-def cross_entropy(logits, labels) -> Tensor:
-    """Mean negative log-likelihood of integer labels under softmax logits."""
+def cross_entropy_terms(logits, labels) -> Tensor:
+    """Per-row negative log-likelihood of integer labels under softmax logits.
+
+    Shape (B,); the ``supervised_ce`` attack objective ascends these terms.
+    """
     lt = _as_tensor(logits)
     y = np.asarray(labels)
     if lt.ndim != 2:
@@ -138,4 +141,9 @@ def cross_entropy(logits, labels) -> Tensor:
     onehot = np.zeros((b, c), dtype=lt.data.dtype)
     onehot[np.arange(b), y] = 1.0
     logp = T.log_softmax(lt)
-    return T.neg(T.mul(logp, T.constant(onehot)).sum(axis=1).mean())
+    return T.neg(T.mul(logp, T.constant(onehot)).sum(axis=1))
+
+
+def cross_entropy(logits, labels) -> Tensor:
+    """:func:`cross_entropy_terms` averaged over rows."""
+    return cross_entropy_terms(logits, labels).mean()

@@ -218,8 +218,23 @@ def _conv_block(pt, params, conv_name, norm_name, x, stride, train):
     return T.relu(_norm_forward(pt, params, norm_name, h, train))
 
 
-def _encoder_forward(pt: dict, params: ModelParams, x: Tensor,
-                     train: bool) -> Tensor:
+def _as_input(x, dtype) -> Tensor:
+    if isinstance(x, Tensor):
+        return x
+    return T.constant(np.asarray(x), dtype)
+
+
+def encode(params: ModelParams, batch, train: bool = False,
+           lifted: dict | None = None) -> Tensor:
+    """Run the encoder: (B, 3, H, W) -> (B, embedding_dim).
+
+    ``batch`` may be an array or a tape tensor (for input gradients); pass
+    ``lifted`` leaves to differentiate with respect to the weights.
+    """
+    x = _as_input(batch, np.float32)
+    if x.ndim != 4 or x.shape[1] != 3:
+        raise T.ShapeError(f"encode: expected (B, 3, H, W) input, got {x.shape}")
+    pt = lifted if lifted is not None else _constant_params(params, x.data.dtype)
     spec = params.spec
     if spec.kind == "toy_conv":
         h = x
@@ -243,37 +258,6 @@ def _encoder_forward(pt: dict, params: ModelParams, x: Tensor,
     return T.global_avg_pool(h)
 
 
-def _projection_forward(pt: dict, emb: Tensor) -> Tensor:
-    # leaky hidden activation: the head output is zero only for a zero
-    # embedding, so normalization cannot blow up on live inputs
-    h = T.leaky_relu(T.matmul(emb, pt["proj.fc1.w"]))
-    return T.l2_normalize(T.matmul(h, pt["proj.fc2.w"]))
-
-
-def _classifier_forward(pt: dict, emb: Tensor) -> Tensor:
-    return T.bias_add(T.matmul(emb, pt["classifier.w"]), pt["classifier.b"])
-
-
-def _as_input(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return T.constant(np.asarray(x), dtype)
-
-
-def encode(params: ModelParams, batch, train: bool = False,
-           lifted: dict | None = None) -> Tensor:
-    """Run the encoder: (B, 3, H, W) -> (B, embedding_dim).
-
-    ``batch`` may be an array or a tape tensor (for input gradients); pass
-    ``lifted`` leaves to differentiate with respect to the weights.
-    """
-    x = _as_input(batch, np.float32)
-    if x.ndim != 4 or x.shape[1] != 3:
-        raise T.ShapeError(f"encode: expected (B, 3, H, W) input, got {x.shape}")
-    pt = lifted if lifted is not None else _constant_params(params, x.data.dtype)
-    return _encoder_forward(pt, params, x, train)
-
-
 def project(params: ModelParams, embeddings, lifted: dict | None = None) -> Tensor:
     """Map embeddings to unit-norm rows in the contrastive space (B, proj_dim)."""
     e = _as_input(embeddings, np.float32)
@@ -281,7 +265,10 @@ def project(params: ModelParams, embeddings, lifted: dict | None = None) -> Tens
         raise T.ShapeError(f"project: expected (B, {params.spec.embedding_dim}) "
                            f"embeddings, got {e.shape}")
     pt = lifted if lifted is not None else _constant_params(params, e.data.dtype)
-    return _projection_forward(pt, e)
+    # leaky hidden activation: the head output is zero only for a zero
+    # embedding, so normalization cannot blow up on live inputs
+    h = T.leaky_relu(T.matmul(e, pt["proj.fc1.w"]))
+    return T.l2_normalize(T.matmul(h, pt["proj.fc2.w"]))
 
 
 def classify(params: ModelParams, embeddings, lifted: dict | None = None) -> Tensor:
@@ -291,7 +278,7 @@ def classify(params: ModelParams, embeddings, lifted: dict | None = None) -> Ten
         raise T.ShapeError(f"classify: expected (B, {params.spec.embedding_dim}) "
                            f"embeddings, got {e.shape}")
     pt = lifted if lifted is not None else _constant_params(params, e.data.dtype)
-    return _classifier_forward(pt, e)
+    return T.bias_add(T.matmul(e, pt["classifier.w"]), pt["classifier.b"])
 
 
 def _constant_params(params: ModelParams, dtype) -> dict[str, Tensor]:

@@ -99,15 +99,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def relu(self):
-        return relu(self)
-
-    def rsqrt(self):
-        return rsqrt(self)
-
-    def transpose(self):
-        return transpose(self)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 

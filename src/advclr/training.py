@@ -48,6 +48,8 @@ class PretrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr0 <= 0:
             raise ValueError(f"lr0 must be positive, got {self.lr0}")
 
@@ -65,6 +67,8 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -81,6 +85,8 @@ class SupervisedConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -241,12 +247,6 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
     return params, log
 
 
-def _freeze_backbone(params: ModelParams) -> ModelParams:
-    models.set_freeze(params, "encoder", True)
-    models.set_freeze(params, "projection", True)
-    return params
-
-
 def finetune(dataset: Dataset, checkpoint, num_classes: int,
              cfg: FinetuneConfig) -> tuple[ModelParams, TrainLog]:
     """Train a linear probe on frozen encoder features with Adam.
@@ -255,6 +255,8 @@ def finetune(dataset: Dataset, checkpoint, num_classes: int,
     re-initialized from cfg.seed and attached directly to encoder output.
     Frozen weights (and running statistics) are bitwise unchanged.
     """
+    if len(dataset) == 0:
+        raise data.DataError("finetune: empty dataset")
     params = checkpoint.copy() if isinstance(checkpoint, ModelParams) \
         else models.load_checkpoint(checkpoint)
     if num_classes != dataset.num_classes:
@@ -263,7 +265,8 @@ def finetune(dataset: Dataset, checkpoint, num_classes: int,
     if params.num_classes != num_classes:
         raise data.DataError(f"checkpoint classifier has {params.num_classes} "
                              f"classes, dataset has {num_classes}")
-    _freeze_backbone(params)
+    models.set_freeze(params, "encoder", True)
+    models.set_freeze(params, "projection", True)
     rng = np.random.default_rng(cfg.seed)
     emb_dim = params.spec.embedding_dim
     params.arrays["classifier.w"] = (
@@ -288,9 +291,7 @@ def finetune(dataset: Dataset, checkpoint, num_classes: int,
                                                 requires_grad=True),
                       "classifier.b": tape.leaf(params.arrays["classifier.b"],
                                                 requires_grad=True)}
-            logits = T.bias_add(T.matmul(T.constant(emb_all[idx]),
-                                         leaves["classifier.w"]),
-                                leaves["classifier.b"])
+            logits = models.classify(params, emb_all[idx], lifted=leaves)
             loss = losses.cross_entropy(logits, dataset.labels[idx])
             epoch_losses.append(_loss_guard(float(loss.data), epoch, batch_idx))
             grads = _grad_by_name(tape, loss, leaves)

@@ -105,6 +105,46 @@ def test_zero_epochs_is_config_error(cfg_file, tmp_path, command, flag):
     assert cli.main(argv) == EXIT_CONFIG
 
 
+BAD_INPUTS = {
+    "epsilons-not-a-number": ("evaluate", ["--epsilons", "abc"], None, "--epsilons"),
+    "epsilons-negative": ("evaluate", ["--epsilons", "-0.1"], None, "[attacks]"),
+    "unknown-attack-kind": ("evaluate", [], ("kinds = fgsm,pgd", "kinds = pgd,deepfool"),
+                            "[attacks]"),
+    "zero-steps": ("evaluate", [], ("\nsteps = 2", "\nsteps = 0"), "[attacks]"),
+    "negative-step-size": ("evaluate", [], ("\nsteps = 2", "\nsteps = 2\nstep_size = -0.1"),
+                           "[attacks]"),
+    "hflip-prob-above-one": ("pretrain", [], ("hflip_prob = 0.0", "hflip_prob = 1.5"),
+                             "[augment]"),
+    "unknown-model-kind": ("pretrain", [], ("kind = toy_conv", "kind = vgg"), "[model]"),
+    "toy-conv-two-widths": ("pretrain", [], ("widths = 4,6,8", "widths = 8,16"), "[model]"),
+    "negative-lr0": ("pretrain", [], ("lr0 = 0.05", "lr0 = -1"), "[pretrain]"),
+    "zero-view-steps": ("pretrain", [], ("view_steps = 2", "view_steps = 0"), "[pretrain]"),
+    "zero-finetune-batch": ("finetune", [], ("lr = 0.01", "lr = 0.01\nbatch_size = 0"),
+                            "[finetune]"),
+}
+
+
+@pytest.mark.parametrize("command,flags,edit,named", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_config_value_is_config_error(tmp_path, capsys, command, flags, edit,
+                                          named):
+    text = TINY_CFG.replace(*edit) if edit else TINY_CFG
+    assert text != TINY_CFG or flags
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    ckpt = str(tmp_path / "model.ckpt")
+    models.save_checkpoint(ckpt, models.init_params(
+        models.EncoderSpec("toy_conv", (4, 6, 8)), num_classes=4, seed=0, proj_dim=8))
+    argv = [command, "--config", str(path), "--run-dir", str(tmp_path / "run"), *flags]
+    if command in ("evaluate", "finetune"):
+        argv += ["--checkpoint", ckpt]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:   # argparse rejects a bad flag value itself
+        code = exc.code
+    assert code == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
 def test_checkpoint_class_mismatch_is_data_error(cfg_file, tmp_path):
     # TINY_CFG has 4 classes; the checkpoint's classifier has 5
     ckpt = str(tmp_path / "five.ckpt")

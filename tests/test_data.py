@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from advclr import data
-from advclr.data import (AugmentPolicy, DataError, Dataset, LabeledImage,
-                         augment, batch_iter, load_cifar10, make_synthetic)
+from advclr.data import (AugmentPolicy, DataError, augment_batch, batch_iter,
+                         load_cifar10, make_synthetic)
 
 RECORD = 3073
 PER_FILE = 10000
@@ -125,60 +124,52 @@ class TestSynthetic:
 class TestAugment:
     def test_disabled_is_identity(self):
         rng = np.random.default_rng(0)
-        img = LabeledImage(rng.random((3, 8, 8)).astype(np.float32), 4)
-        out = augment(img, AugmentPolicy(crop_pad=4, hflip_prob=1.0, enabled=False),
-                      np.random.default_rng(1))
-        assert np.array_equal(out.pixels, img.pixels)
-        assert out.label == img.label
+        images = rng.random((5, 3, 8, 8)).astype(np.float32)
+        out = augment_batch(images, AugmentPolicy(crop_pad=4, hflip_prob=1.0,
+                                                  enabled=False),
+                            np.random.default_rng(1))
+        assert np.array_equal(out, images)
+        assert out is not images
 
     def test_hflip_swaps_halves(self):
-        pixels = np.zeros((3, 4, 4), dtype=np.float32)
-        pixels[:, :, :2] = 1.0
-        img = LabeledImage(pixels, 0)
-        out = augment(img, AugmentPolicy(crop_pad=0, hflip_prob=1.0),
-                      np.random.default_rng(0))
-        assert np.all(out.pixels[:, :, 2:] == 1.0)
-        assert np.all(out.pixels[:, :, :2] == 0.0)
+        images = np.zeros((3, 3, 4, 4), dtype=np.float32)
+        images[:, :, :, :2] = 1.0
+        images[1] *= 0.5
+        out = augment_batch(images, AugmentPolicy(crop_pad=0, hflip_prob=1.0),
+                            np.random.default_rng(0))
+        np.testing.assert_array_equal(out, images[:, :, :, ::-1])
+        assert np.all(out[1, :, :, 2:] == 0.5) and np.all(out[:, :, :, :2] == 0.0)
 
     def test_crop_output_is_a_valid_shift(self):
-        # oracle: enumerate all reachable pad-and-crop results
+        # oracle: enumerate all reachable pad-and-crop results of each image
         rng = np.random.default_rng(5)
-        pixels = rng.random((3, 32, 32)).astype(np.float32)
-        img = LabeledImage(pixels, 1)
+        images = rng.random((6, 3, 32, 32)).astype(np.float32)
         pad = 4
-        out = augment(img, AugmentPolicy(crop_pad=pad, hflip_prob=0.0),
-                      np.random.default_rng(123))
-        assert out.pixels.shape == pixels.shape
-        padded = np.pad(pixels, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
-        candidates = [padded[:, oy:oy + 32, ox:ox + 32]
-                      for oy in range(2 * pad + 1) for ox in range(2 * pad + 1)]
-        assert any(np.array_equal(out.pixels, c) for c in candidates)
+        out = augment_batch(images, AugmentPolicy(crop_pad=pad, hflip_prob=0.0),
+                            np.random.default_rng(123))
+        assert out.shape == images.shape
+        for image, result in zip(images, out):
+            padded = np.pad(image, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
+            candidates = [padded[:, oy:oy + 32, ox:ox + 32]
+                          for oy in range(2 * pad + 1) for ox in range(2 * pad + 1)]
+            assert any(np.array_equal(result, c) for c in candidates)
 
     def test_deterministic_given_rng_state(self):
         rng = np.random.default_rng(2)
-        img = LabeledImage(rng.random((3, 16, 16)).astype(np.float32), 2)
+        images = rng.random((8, 3, 16, 16)).astype(np.float32)
         policy = AugmentPolicy(crop_pad=2, hflip_prob=0.5)
-        a = augment(img, policy, np.random.default_rng(42))
-        b = augment(img, policy, np.random.default_rng(42))
-        assert np.array_equal(a.pixels, b.pixels)
+        a = augment_batch(images, policy, np.random.default_rng(42))
+        b = augment_batch(images, policy, np.random.default_rng(42))
+        assert np.array_equal(a, b)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 4),
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 16), st.integers(0, 4),
            st.floats(0.0, 1.0))
-    def test_range_and_label_preserved(self, seed, pad, flip_p):
+    def test_batch_range_preserved(self, seed, n, pad, flip_p):
         rng = np.random.default_rng(seed)
-        img = LabeledImage(rng.random((3, 8, 8)).astype(np.float32), 3)
-        out = augment(img, AugmentPolicy(crop_pad=pad, hflip_prob=flip_p), rng)
-        assert out.label == 3
-        assert out.pixels.shape == (3, 8, 8)
-        assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
-
-    def test_batch_range_preserved(self):
-        rng = np.random.default_rng(8)
-        images = rng.random((16, 3, 8, 8)).astype(np.float32)
-        out = data.augment_batch(images, AugmentPolicy(crop_pad=2, hflip_prob=0.5),
-                                 np.random.default_rng(0))
-        assert out.shape == images.shape
+        images = rng.random((n, 3, 8, 8)).astype(np.float32)
+        out = augment_batch(images, AugmentPolicy(crop_pad=pad, hflip_prob=flip_p), rng)
+        assert out.shape == images.shape and out.dtype == images.dtype
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_invalid_policy(self):

@@ -269,3 +269,15 @@ class TestCrossEntropy:
         labels = rng.integers(0, 10, size=4)
         err = T.grad_check(lambda t: losses.cross_entropy(t, labels), logits)
         assert err <= 1e-5
+
+    def test_terms_match_numpy_reference(self):
+        rng = np.random.default_rng(15)
+        logits = rng.normal(scale=3.0, size=(7, 5))
+        labels = rng.integers(0, 5, size=7)
+        terms = losses.cross_entropy_terms(constant(logits, dtype=np.float32), labels)
+        assert terms.shape == (7,) and terms.dtype == np.float32
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        expected = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(7), labels]
+        np.testing.assert_allclose(terms.data, expected, rtol=1e-5, atol=1e-5)
+        mean = losses.cross_entropy(constant(logits, dtype=np.float32), labels)
+        assert mean.data.tobytes() == terms.mean().data.tobytes()

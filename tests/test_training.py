@@ -104,6 +104,12 @@ def fast_pretrain_cfg(epochs, seed=0):
                           augment=data.AugmentPolicy(crop_pad=1))
 
 
+@pytest.mark.parametrize("config", [PretrainConfig, FinetuneConfig, SupervisedConfig])
+def test_zero_batch_size_rejected(config):
+    with pytest.raises(ValueError, match="batch_size"):
+        config(epochs=1, batch_size=0)
+
+
 class TestActPretrain:
     def test_rejects_zero_epochs(self):
         with pytest.raises(ValueError):
@@ -181,6 +187,11 @@ class TestFinetune:
         encoder, _ = toy_act
         with pytest.raises(ValueError):
             training.finetune(train, encoder, 3, FinetuneConfig(epochs=1))
+
+    def test_empty_dataset_rejected(self):
+        empty = data.make_synthetic(4, 0, 8, seed=0)
+        with pytest.raises(data.DataError):
+            training.finetune(empty, tiny_params(), 4, FinetuneConfig(epochs=1))
 
     def test_accepts_checkpoint_path(self, tmp_path, toy_data, toy_act):
         train, _ = toy_data
