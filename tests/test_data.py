@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from advclr.data import (AugmentPolicy, DataError, augment_batch, batch_iter,
+from advclr.data import (AugmentPolicy, Batch, DataError, augment_batch, batch_iter,
                          load_cifar10, make_synthetic)
 
 RECORD = 3073
@@ -170,6 +170,23 @@ class TestAugment:
         images = rng.random((n, 3, 8, 8)).astype(np.float32)
         out = augment_batch(images, AugmentPolicy(crop_pad=pad, hflip_prob=flip_p), rng)
         assert out.shape == images.shape and out.dtype == images.dtype
+        assert out.min() >= 0.0 and out.max() <= 1.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 4),
+           st.floats(0.0, 1.0))
+    def test_range_and_label_preserved(self, seed, pad, flip_p):
+        # one image, as the training loops see it: augmenting a batch's images
+        # leaves the batch (and so the image-label pairing) untouched
+        rng = np.random.default_rng(seed)
+        images = rng.random((1, 3, 8, 8)).astype(np.float32)
+        batch = Batch(images, np.array([3]))
+        before = images.copy()
+        out = augment_batch(batch.images, AugmentPolicy(crop_pad=pad, hflip_prob=flip_p),
+                            rng)
+        assert batch.labels.tolist() == [3]
+        assert np.array_equal(batch.images, before)
+        assert out.shape == (1, 3, 8, 8)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_invalid_policy(self):
