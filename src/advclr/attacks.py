@@ -9,6 +9,12 @@ optionally from a random start, and return each sample's best visited iterate
 when ``cfg.objective`` is unset. ``fgsm``, ``pgd`` and ``cw`` are aliases of
 ``run_attack``: each runs ``cfg.kind``.
 
+Under a supervised objective the clean input also counts as visited, and a
+sample leaves the attack at the first visited point the model misclassifies:
+that point is returned and no later step evaluates the sample. Only samples
+never misclassified get the return rule above. So the model misclassifies the
+returned point exactly when it misclassifies some visited point.
+
 Objectives (all "ascend to attack"):
 
 * ``supervised_ce``        mean cross-entropy against the true labels
@@ -22,7 +28,7 @@ Objectives (all "ascend to attack"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,7 +91,7 @@ def project_linf(x_adv: np.ndarray, x_ref: np.ndarray,
     if x_adv.shape != x_ref.shape:
         raise T.ShapeError(f"project_linf: shapes {x_adv.shape} != {x_ref.shape}")
     out = np.clip(x_adv, x_ref - epsilon, x_ref + epsilon)
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def _margin_terms(scores: Tensor, own: np.ndarray, kappa: float,
@@ -112,50 +118,56 @@ def _margin_terms(scores: Tensor, own: np.ndarray, kappa: float,
 
 def _objective_graph(params: models.ModelParams, x: Tensor, mode: str,
                      ctx: AttackContext, kappa: float, ascent: bool = False):
-    """Build the ascend-objective for a tape input; returns (scalar, per_sample)."""
+    """Build the ascend-objective for a tape input.
+
+    Returns (scalar, per_sample, wrong): ``wrong`` marks the rows whose logits'
+    argmax misses the label, or is None for an embedding objective.
+    """
     b = x.shape[0]
     if mode in ("supervised_ce", "supervised_margin"):
         if ctx.labels is None:
             raise ValueError(f"{mode}: attack context is missing labels")
         labels = np.asarray(ctx.labels)
         logits = models.classify(params, models.encode(params, x))
+        wrong = logits.data.argmax(axis=1) != labels
         if mode == "supervised_ce":
             per = losses.cross_entropy_terms(logits, labels)
-            return per.mean(), per.data
+            return per.mean(), per.data, wrong
         onehot = np.zeros(logits.shape)
         onehot[np.arange(b), labels] = 1.0
         per = _margin_terms(logits, onehot, kappa, ascent=ascent)
-        return per.sum(), per.data
+        return per.sum(), per.data, wrong
     if ctx.reference is None:
         raise ValueError(f"{mode}: attack context is missing reference embeddings")
     ref = np.asarray(ctx.reference, dtype=x.data.dtype)
     z = models.project(params, models.encode(params, x))
     if mode == "embedding_repel":
         per = T.neg(T.mul(z, T.constant(ref)).sum(axis=1))
-        return per.mean(), per.data
+        return per.mean(), per.data, None
     if mode == "embedding_margin":
         sims = T.matmul(z, T.constant(np.ascontiguousarray(ref.T)))
         eye = np.eye(b)
         per = T.neg(_margin_terms(sims, eye, kappa))
-        return per.mean(), per.data
+        return per.mean(), per.data, None
     if mode == "contrastive":
         batch = ContrastiveBatch(z, T.constant(ref), T.constant(ref),
                                  np.eye(b, dtype=bool), ctx.temperature)
         per = losses.info_nce_terms(batch)
-        return per.mean(), per.data
+        return per.mean(), per.data, None
     raise ValueError(f"unknown objective {mode!r}")
 
 
 def _eval_objective(params, x_np, mode, ctx, kappa, want_grad):
+    """(per-row objective, input gradient or None, misclassified rows or None)."""
     tape = T.Tape()
     x = tape.leaf(x_np, requires_grad=want_grad)
-    scalar, per = _objective_graph(params, x, mode, ctx, kappa, ascent=True)
+    scalar, per, wrong = _objective_graph(params, x, mode, ctx, kappa, ascent=True)
     if not want_grad:
-        return per, None
+        return per, None, wrong
     grad = tape.backward(scalar)[x.handle]
     if not np.all(np.isfinite(grad)):
         raise NumericError(f"{mode}: non-finite input gradient")
-    return per, grad
+    return per, grad, wrong
 
 
 def attack_objective(model: models.ModelParams, x, mode: str,
@@ -163,7 +175,7 @@ def attack_objective(model: models.ModelParams, x, mode: str,
     """Scalar value of an attack objective (higher = more adversarial)."""
     tape = T.Tape()
     xt = tape.leaf(np.asarray(x, dtype=np.float32))
-    scalar, _ = _objective_graph(model, xt, mode, context, kappa)
+    scalar, _, _ = _objective_graph(model, xt, mode, context, kappa)
     return float(scalar.data)
 
 
@@ -179,30 +191,52 @@ def run_attack(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
     """Attack a batch with ``cfg.kind``'s step schedule; see the module doc."""
     x = np.asarray(x, dtype=np.float32)
     mode = objective_for(cfg, context.labels is not None)
-    if cfg.kind == "fgsm":
-        _, grad = _eval_objective(model, x, mode, context, cfg.kappa, want_grad=True)
-        return np.clip(x + np.float32(cfg.epsilon) * np.sign(grad), 0.0, 1.0)
+    labels = np.asarray(context.labels) if mode.startswith("supervised") else None
+    fgsm = cfg.kind == "fgsm"
     eps = np.float32(cfg.epsilon)
-    step = np.float32(cfg.step)
-    cur = x
-    if cfg.random_start and cfg.epsilon > 0:
+    step, num_steps = (eps, 1) if fgsm else (np.float32(cfg.step), cfg.num_steps)
+    # the active rows' batch positions, context and iterate
+    rows, ctx, cur = np.arange(len(x)), context, x
+    if cfg.random_start and cfg.epsilon > 0 and not fgsm:
         rng = context.rng if context.rng is not None else np.random.default_rng()
+        if labels is not None:      # the clean input counts as visited
+            _, _, wrong = _eval_objective(model, x, mode, ctx, cfg.kappa,
+                                          want_grad=False)
+            rows = np.flatnonzero(~wrong)
+            ctx = replace(context, labels=labels[rows])
+        # drawn for the whole batch, so the stream does not depend on who left
         noise = rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape).astype(np.float32)
-        cur = project_linf(x + noise, x, eps)
-    best_x, best_val = cur, np.full(len(x), -np.inf)
-    for i in range(cfg.num_steps + 1):
+        cur = project_linf(x[rows] + noise[rows], x[rows], eps)
+        del noise
+    # each left row's frozen point, each active row's best; allocated after
+    # the first evaluation, the one with the most rows
+    out = None
+    best = np.full(len(rows), -np.inf)
+    for i in range(num_steps + 1):
+        if not len(rows):
+            break
+        if fgsm and i == num_steps:
+            out[rows] = cur     # FGSM returns its stepped point unscored
+            break
         # the last evaluation only scores the final iterate, so needs no gradient
-        stepping = i < cfg.num_steps
-        per, grad = _eval_objective(model, cur, mode, context, cfg.kappa,
-                                    want_grad=stepping)
-        improved = per >= best_val
-        if improved.any():
-            best_val = np.where(improved, per, best_val)
-            best_x = np.where(improved.reshape((-1,) + (1,) * (x.ndim - 1)),
-                              cur, best_x)
+        stepping = i < num_steps
+        per, grad, wrong = _eval_objective(model, cur, mode, ctx, cfg.kappa,
+                                           want_grad=stepping)
+        if out is None:
+            out = x.copy()
+        if labels is not None and wrong.any():
+            out[rows[wrong]] = cur[wrong]
+            keep = ~wrong
+            rows, cur, per, best = rows[keep], cur[keep], per[keep], best[keep]
+            ctx = replace(context, labels=labels[rows])
+            grad = grad[keep] if stepping else None
+        if not fgsm:
+            improved = per >= best
+            best = np.where(improved, per, best)
+            out[rows[improved]] = cur[improved]
         if stepping:
-            cur = project_linf(cur + step * np.sign(grad), x, eps)
-    return np.asarray(best_x, dtype=np.float32)
+            cur = project_linf(cur + step * np.sign(grad), x[rows], eps)
+    return x.copy() if out is None else out
 
 
 # the kind-named entry points; each runs cfg.kind

@@ -78,6 +78,8 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
                 "random_start": ("bool", True), "kappa": ("float", 0.0)},
     "eval": {"batch_size": ("int", 256), "max_test": ("int", 0)},
 }
+# integer keys that must be at least 1, whichever command reads them
+AT_LEAST_ONE = (("data", "image_size"), ("model", "proj_dim"), ("eval", "batch_size"))
 
 
 @dataclass
@@ -161,6 +163,10 @@ def parse_config(path: str | None = None,
             raise ConfigError(f"unknown override {dotted!r}")
         if value is not None:
             cfg.values[section][key] = value
+    for section, key in AT_LEAST_ONE:
+        if cfg.values[section][key] < 1:
+            raise ConfigError(f"[{section}] {key} must be >= 1, "
+                              f"got {cfg.values[section][key]}")
     return cfg
 
 
@@ -251,6 +257,9 @@ def build_attacks(cfg: RunConfig) -> list[AttackConfig]:
     step_size = cfg.get("attacks", "step_size") or None
     random_start = cfg.get("attacks", "random_start")
     kappa = cfg.get("attacks", "kappa")
+    for key, values in (("kinds", kinds), ("epsilons", epsilons)):
+        if not values:
+            raise ConfigError(f"[attacks] {key} must name at least one value")
     out = []
     for kind in kinds:
         for eps in epsilons:

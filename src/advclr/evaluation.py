@@ -1,8 +1,12 @@
 """Clean and robust accuracy measurement, report serialization, rendering.
 
 A report holds one clean-accuracy number plus one cell per (attack, epsilon)
-pair. Reports serialize to JSON (round-trip safe) and project to a flat CSV
-with columns model, attack, epsilon, accuracy.
+pair. A cell's robust accuracy is the fraction of samples that are
+clean-correct and have no visited point misclassified: ``attacks.run_attack``
+returns a sample's first misclassified visited point, the clean input
+included, so checking its returned point counts exactly that. Reports
+serialize to JSON (round-trip safe) and project to a flat CSV with columns
+model, attack, epsilon, accuracy.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ def clean_accuracy(model: ModelParams, dataset: Dataset,
 
 def robust_accuracy(model: ModelParams, dataset: Dataset, attack: AttackConfig,
                     seed: int = 0, batch_size: int = 256) -> float:
-    """Accuracy after attacking every image with a supervised objective."""
+    """Fraction of samples clean-correct with no visited point misclassified."""
     _check_model_dataset(model, dataset)
     objective = attacks.objective_for(attack, supervised=True)
     if not objective.startswith("supervised"):

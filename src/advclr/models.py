@@ -17,12 +17,15 @@ pure functions of (params, input).
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
+from .data import DataError
 from .tensor import Tensor
 
 ENCODER_KINDS = ("toy_conv", "resnet_small")
@@ -299,6 +302,9 @@ def logits_for(params: ModelParams, images) -> np.ndarray:
 #             seed, frozen names, ordered array index (name, shape, kind),
 #             free-form meta
 #   payload   the arrays in index order as raw little-endian float32
+#
+# A save writes ``<path>.tmp`` and renames it over ``path``, so a reader never
+# sees a half-written file; a load rejects anything else with DataError.
 
 
 def save_checkpoint(path: str, params: ModelParams, meta: dict | None = None):
@@ -322,37 +328,56 @@ def save_checkpoint(path: str, params: ModelParams, meta: dict | None = None):
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(np.array(len(blob), dtype="<u4").tobytes())
-        fh.write(blob)
-        for name in names:
-            source = params.arrays if name in params.arrays else params.buffers
-            fh.write(np.ascontiguousarray(source[name], dtype="<f4").tobytes())
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(np.array(len(blob), dtype="<u4").tobytes())
+            fh.write(blob)
+            for name in names:
+                source = params.arrays if name in params.arrays else params.buffers
+                fh.write(np.ascontiguousarray(source[name], dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> ModelParams:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Raises DataError unless the file is one whole checkpoint of this format.
+    """
     with open(path, "rb") as fh:
         payload = fh.read()
     if payload[:8] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    (length,) = np.frombuffer(payload[8:12], dtype="<u4")
-    header = json.loads(payload[12:12 + int(length)].decode("utf-8"))
-    if header["format_version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported format version "
-                         f"{header['format_version']}")
-    offset = 12 + int(length)
-    arrays: dict[str, np.ndarray] = {}
-    buffers: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f4", count=count,
-                            offset=offset).reshape(shape)
-        offset += count * 4
-        target = arrays if entry["kind"] == "param" else buffers
-        target[entry["name"]] = arr.astype(np.float32)
-    return ModelParams(EncoderSpec.from_dict(header["encoder"]),
-                       header["num_classes"], header["proj_dim"], header["seed"],
-                       arrays, buffers, set(header["frozen"]))
+        raise DataError(f"{path}: not a checkpoint file")
+    offset = 12 + int.from_bytes(payload[8:12], "little")
+    if len(payload) < offset:
+        raise DataError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(payload[12:offset].decode("utf-8"))
+        if header["format_version"] != CHECKPOINT_VERSION:
+            raise DataError(f"{path}: unsupported format version "
+                            f"{header['format_version']}")
+        shapes = [tuple(int(n) for n in entry["shape"]) for entry in header["arrays"]]
+        size = offset + 4 * sum(int(np.prod(shape)) for shape in shapes)
+        if len(payload) != size:
+            raise DataError(f"{path}: payload ends at byte {len(payload)}, "
+                            f"the array index needs {size}")
+        arrays: dict[str, np.ndarray] = {}
+        buffers: dict[str, np.ndarray] = {}
+        for entry, shape in zip(header["arrays"], shapes):
+            count = int(np.prod(shape))
+            arr = np.frombuffer(payload, dtype="<f4", count=count,
+                                offset=offset).reshape(shape)
+            offset += count * 4
+            target = arrays if entry["kind"] == "param" else buffers
+            target[entry["name"]] = arr.astype(np.float32)
+        return ModelParams(EncoderSpec.from_dict(header["encoder"]),
+                           header["num_classes"], header["proj_dim"], header["seed"],
+                           arrays, buffers, set(header["frozen"]))
+    except DataError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from exc

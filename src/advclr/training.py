@@ -52,6 +52,8 @@ class PretrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr0 <= 0:
             raise ValueError(f"lr0 must be positive, got {self.lr0}")
+        if self.tau <= 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
 
 
 @dataclass
@@ -87,6 +89,8 @@ class SupervisedConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.lr0 <= 0:
+            raise ValueError(f"lr0 must be positive, got {self.lr0}")
 
 
 @dataclass

@@ -35,6 +35,13 @@ def images(rng, n=4, size=8):
     return rng.uniform(0.1, 0.9, size=(n, 3, size, size)).astype(np.float32)
 
 
+def source_rows(xq, x):
+    """Index of the clean row each row of xq lies nearest to (L-inf)."""
+    flat = x.reshape(len(x), -1)
+    return np.array([np.abs(flat - row).max(axis=1).argmin()
+                     for row in xq.reshape(len(xq), -1)], dtype=int)
+
+
 class TestObjectives:
     def test_supervised_ce_small_when_confident(self):
         params = small_model()
@@ -142,43 +149,98 @@ class TestPgd:
             assert np.abs(a - b).max() <= 1e-6
 
     def test_best_iterate_wins_including_start(self, monkeypatch):
+        # a row the model never misclassifies returns its best visited
+        # iterate (the clean start included); a row it misclassifies at some
+        # visited point returns a misclassified point inside the ball
         params = small_model()
         rng = np.random.default_rng(8)
-        x = images(rng, 4)
-        ctx = AttackContext(labels=rng.integers(0, 4, 4))
-        seen = []
+        x = images(rng, 8)
+        labels = models.logits_for(params, x).argmax(axis=1)
+        labels[:2] = (labels[:2] + 1) % 4          # two rows clean-misclassified
+        ctx = AttackContext(labels=labels)
+        seen = [[] for _ in x]                      # objectives per batch row
+        ever_wrong = np.zeros(len(x), dtype=bool)
         real = attacks._eval_objective
 
-        def spy(*args, **kwargs):
-            per, grad = real(*args, **kwargs)
-            seen.append(per.copy())
-            return per, grad
+        def spy(model, xq, *args, **kwargs):
+            per, grad, wrong = real(model, xq, *args, **kwargs)
+            rows = source_rows(xq, x)
+            for row, value in zip(rows, per):
+                seen[row].append(value)
+            ever_wrong[rows[wrong]] = True
+            return per, grad, wrong
 
         monkeypatch.setattr(attacks, "_eval_objective", spy)
-        cfg = AttackConfig("pgd", 0.03, num_steps=5, random_start=False)
+        cfg = AttackConfig("pgd", 0.05, num_steps=5, random_start=False)
         out = attacks.pgd(params, x, cfg, ctx)
-        returned, _ = real(params, out, "supervised_ce", ctx, 0.0, False)
-        recorded = np.stack(seen)          # includes the clean start point
-        assert np.all(returned >= recorded.max(axis=0) - 1e-6)
+        returned, _, wrong = real(params, out, "supervised_ce", ctx, 0.0, False)
+        assert ever_wrong[:2].all()
+        assert ever_wrong.any() and not ever_wrong.all()
+        for row in np.flatnonzero(~ever_wrong):
+            assert len(seen[row]) == cfg.num_steps + 1
+            assert returned[row] >= max(seen[row]) - 1e-6
+        assert np.array_equal(wrong, ever_wrong)
+        assert np.abs(out - x).max() <= cfg.epsilon + 1e-6
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_every_iterate_inside_ball(self, monkeypatch):
         params = small_model()
         rng = np.random.default_rng(9)
         x = images(rng, 4)
-        ctx = AttackContext(labels=rng.integers(0, 4, 4),
-                            rng=np.random.default_rng(0))
-        real = attacks._eval_objective
+        labels = rng.integers(0, 4, 4)
+        ctx = AttackContext(labels=labels, rng=np.random.default_rng(0))
+        real_eval, real_project = attacks._eval_objective, attacks.project_linf
+        projected = []      # (projection, the clean rows it was made around)
+        evaluated = []
 
-        def spy(model, xq, *args, **kwargs):
-            assert np.abs(xq - x).max() <= 0.03 + 1e-6
+        def project_spy(x_adv, x_ref, epsilon):
+            out = real_project(x_adv, x_ref, epsilon)
+            projected.append((out, x_ref))
+            return out
+
+        def eval_spy(model, xq, mode, sub_ctx, *args, **kwargs):
+            # each evaluated batch is the clean batch or the latest projection;
+            # the active rows' batch stays aligned with their labels
+            out, ref = projected[-1] if projected else (x, x)
+            np.testing.assert_array_equal(xq, out)
+            rows = source_rows(ref, x)
+            np.testing.assert_array_equal(ref, x[rows])
+            np.testing.assert_array_equal(sub_ctx.labels, labels[rows])
+            assert np.abs(xq - ref).max() <= 0.03 + 1e-6
             assert xq.min() >= 0.0 and xq.max() <= 1.0
-            return real(model, xq, *args, **kwargs)
+            evaluated.append(len(xq))
+            return real_eval(model, xq, mode, sub_ctx, *args, **kwargs)
 
-        monkeypatch.setattr(attacks, "_eval_objective", spy)
+        monkeypatch.setattr(attacks, "project_linf", project_spy)
+        monkeypatch.setattr(attacks, "_eval_objective", eval_spy)
         cfg = AttackConfig("pgd", 0.03, step_size=0.0075, num_steps=10,
                            random_start=True)
         out = attacks.pgd(params, x, cfg, ctx)
+        assert evaluated and projected
         assert np.abs(out - x).max() <= 0.03 + 1e-6
+
+    def test_random_start_visits_the_clean_input_first(self, monkeypatch):
+        params = small_model()
+        x = images(np.random.default_rng(17), 4)
+        labels = models.logits_for(params, x).argmax(axis=1)
+        labels[0] = (labels[0] + 1) % 4           # row 0 is clean-misclassified
+        rng = np.random.default_rng(3)
+        real = attacks._eval_objective
+        calls = []
+
+        def spy(model, xq, *args, want_grad):
+            calls.append((len(xq), want_grad))
+            return real(model, xq, *args, want_grad=want_grad)
+
+        monkeypatch.setattr(attacks, "_eval_objective", spy)
+        cfg = AttackConfig("pgd", 0.03, num_steps=3, random_start=True)
+        out = attacks.pgd(params, x, cfg, AttackContext(labels=labels, rng=rng))
+        np.testing.assert_array_equal(out[0], x[0])
+        assert calls[:2] == [(4, False), (3, True)]
+        # the noise is drawn for the whole batch, whichever rows left
+        ref = np.random.default_rng(3)
+        ref.uniform(size=x.shape)
+        assert rng.random() == ref.random()
 
     def test_deterministic_without_random_start(self):
         params = small_model()
@@ -244,6 +306,57 @@ class TestCw:
                 seed=seed)
             wins += acc_cw <= acc_fgsm
         assert wins * 2 >= len(seeds)
+
+
+def test_row_leaves_at_its_first_misclassified_point(monkeypatch):
+    # a scripted objective that rises at every evaluation and reports row 1
+    # misclassified at the second evaluation only
+    params = small_model()
+    x = images(np.random.default_rng(16), 3)
+    ctx = AttackContext(labels=np.zeros(3, dtype=int))
+    real = attacks._eval_objective
+    evaluated = []
+
+    def scripted(model, xq, *args, **kwargs):
+        _, grad, _ = real(model, xq, *args, **kwargs)
+        evaluated.append(xq.copy())
+        wrong = np.zeros(len(xq), dtype=bool)
+        wrong[1] = len(evaluated) == 2
+        return np.full(len(xq), float(len(evaluated))), grad, wrong
+
+    monkeypatch.setattr(attacks, "_eval_objective", scripted)
+    out = attacks.pgd(params, x, AttackConfig("pgd", 0.03, num_steps=4), ctx)
+    assert [len(batch) for batch in evaluated] == [3, 3, 2, 2, 2]
+    np.testing.assert_array_equal(out[1], evaluated[1][1])
+    np.testing.assert_array_equal(out[[0, 2]], evaluated[-1])
+
+
+@pytest.mark.parametrize("kind", attacks.ATTACK_KINDS)
+def test_correct_after_attack_only_if_correct_at_every_visited_point(
+        kind, toy_baseline, toy_data, monkeypatch):
+    # sound robust accuracy: the model classifies the returned point
+    # correctly exactly when it classifies the clean input and every
+    # evaluated iterate correctly
+    _, test = toy_data
+    x, labels = test.images[:200], test.labels[:200]
+    ever_wrong = np.zeros(len(x), dtype=bool)
+    real = attacks._eval_objective
+
+    def spy(model, xq, *args, **kwargs):
+        per, grad, wrong = real(model, xq, *args, **kwargs)
+        ever_wrong[source_rows(xq, x)[wrong]] = True
+        return per, grad, wrong
+
+    monkeypatch.setattr(attacks, "_eval_objective", spy)
+    cfg = AttackConfig(kind, 0.01, num_steps=5, random_start=kind == "pgd")
+    x_adv = attacks.run_attack(toy_baseline, x, cfg,
+                               AttackContext(labels=labels, rng=np.random.default_rng(6)))
+    clean_ok = models.logits_for(toy_baseline, x).argmax(axis=1) == labels
+    adv_ok = models.logits_for(toy_baseline, x_adv).argmax(axis=1) == labels
+    assert adv_ok.any() and not adv_ok.all()
+    assert not np.any(adv_ok & ~clean_ok)
+    if kind != "fgsm":      # FGSM never evaluates its stepped point
+        np.testing.assert_array_equal(adv_ok, clean_ok & ~ever_wrong)
 
 
 @pytest.mark.parametrize("supervised", [True, False], ids=["labels", "reference"])

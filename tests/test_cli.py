@@ -121,6 +121,15 @@ BAD_INPUTS = {
     "zero-view-steps": ("pretrain", [], ("view_steps = 2", "view_steps = 0"), "[pretrain]"),
     "zero-finetune-batch": ("finetune", [], ("lr = 0.01", "lr = 0.01\nbatch_size = 0"),
                             "[finetune]"),
+    "zero-tau": ("pretrain", [], ("view_steps = 2", "view_steps = 2\ntau = 0"), "[pretrain]"),
+    "negative-baseline-lr0": ("baseline", [], ("[baseline]\nepochs = 2",
+                                               "[baseline]\nepochs = 2\nlr0 = -1"),
+                              "[baseline]"),
+    "empty-kinds": ("evaluate", [], ("kinds = fgsm,pgd", "kinds ="), "[attacks]"),
+    "empty-epsilons": ("evaluate", [], ("epsilons = 0.0,0.03", "epsilons ="), "[attacks]"),
+    "zero-eval-batch": ("evaluate", [], ("batch_size = 64", "batch_size = 0"), "[eval]"),
+    "zero-proj-dim": ("pretrain", [], ("proj_dim = 8", "proj_dim = 0"), "[model]"),
+    "zero-image-size": ("pretrain", [], ("image_size = 16", "image_size = 0"), "[data]"),
 }
 
 
@@ -143,6 +152,19 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, flags, edit
         code = exc.code
     assert code == EXIT_CONFIG
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["not-a-checkpoint", "truncated"])
+def test_bad_checkpoint_is_data_error(cfg_file, tmp_path, capsys, damage):
+    ckpt = tmp_path / "model.ckpt"
+    models.save_checkpoint(str(ckpt), models.init_params(
+        models.EncoderSpec("toy_conv", (4, 6, 8)), num_classes=4, seed=0, proj_dim=8))
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(b"[run]\nseed = 1\n" if damage == "not-a-checkpoint"
+                     else blob[:len(blob) // 2])
+    assert cli.main(["finetune", "--config", cfg_file, "--checkpoint", str(ckpt),
+                     "--run-dir", str(tmp_path / "ft")]) == EXIT_DATA
+    assert str(ckpt) in capsys.readouterr().err
 
 
 def test_checkpoint_class_mismatch_is_data_error(cfg_file, tmp_path):

@@ -59,11 +59,27 @@ class TestRobustAccuracy:
             assert evaluation.robust_accuracy(toy_baseline, test, cfg) == clean
 
     def test_attack_never_helps_without_random_start(self, toy_baseline, toy_data):
-        # best-so-far includes the clean iterate, so accuracy cannot rise
+        # the clean input counts as visited, so accuracy cannot rise
         _, test = toy_data
         clean = evaluation.clean_accuracy(toy_baseline, test)
         cfg = AttackConfig("pgd", 0.03, num_steps=3, random_start=False)
         assert evaluation.robust_accuracy(toy_baseline, test, cfg) <= clean
+
+    def test_attack_never_helps_with_random_start(self, toy_baseline, toy_data):
+        # the clean input counts as visited before the random start
+        _, test = toy_data
+        clean = evaluation.clean_accuracy(toy_baseline, test)
+        cfg = AttackConfig("pgd", 0.03, num_steps=3, random_start=True)
+        assert evaluation.robust_accuracy(toy_baseline, test, cfg, seed=5) <= clean
+
+    @pytest.mark.parametrize("kind", ["fgsm", "pgd", "cw"])
+    def test_independent_of_eval_batch_size(self, toy_baseline, toy_data, kind):
+        _, test = toy_data
+        cfg = AttackConfig(kind, 0.01, num_steps=10, random_start=kind == "pgd")
+        accs = [evaluation.robust_accuracy(toy_baseline, test, cfg, seed=4,
+                                           batch_size=size)
+                for size in (256, 97, len(test))]
+        assert 0.0 < accs[0] and accs == [accs[0]] * 3
 
     def test_monotone_in_epsilon(self, toy_baseline, toy_data):
         _, test = toy_data

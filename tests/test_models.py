@@ -1,11 +1,13 @@
 """Encoder/head contracts, freezing, and the checkpoint container."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from advclr import losses, models, tensor as T, training
+from advclr.data import DataError
 from advclr.models import EncoderSpec
 from advclr.tensor import constant
 
@@ -243,8 +245,57 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="not a checkpoint"):
+        with pytest.raises(DataError, match="not a checkpoint"):
             models.load_checkpoint(str(path))
+
+    def test_truncated_at_every_boundary_is_data_error(self, tmp_path):
+        params = models.init_params(EncoderSpec("toy_conv", (3, 4, 5)), 2, seed=0,
+                                    proj_dim=4)
+        path = tmp_path / "model.ckpt"
+        models.save_checkpoint(str(path), params)
+        blob = path.read_bytes()
+        header_end = 12 + int(np.frombuffer(blob[8:12], dtype="<u4")[0])
+        header = json.loads(blob[12:header_end].decode("utf-8"))
+        cuts = [0, 4, 8, 10, 12, (12 + header_end) // 2, header_end]
+        offset = header_end
+        for entry in header["arrays"]:
+            offset += 4 * int(np.prod(entry["shape"]))
+            cuts += [offset - 2, offset]
+        assert cuts.pop() == len(blob)
+        cut = path.with_name("cut.ckpt")
+        for end in cuts:
+            cut.write_bytes(blob[:end])
+            with pytest.raises(DataError):
+                models.load_checkpoint(str(cut))
+        cut.write_bytes(blob + b"\x00")
+        with pytest.raises(DataError):
+            models.load_checkpoint(str(cut))
+
+    @pytest.mark.parametrize("edit", [
+        (b'"format_version": 1', b'"format_version": 9'),
+        (b'"format_version": 1', b'"format_version"= 1'),
+        (b'"arrays": [', b'"arrayz": ['),
+    ], ids=["unknown-version", "bad-json", "missing-key"])
+    def test_bad_header_is_data_error(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        models.save_checkpoint(str(path), models.init_params(
+            EncoderSpec("toy_conv", (3, 4, 5)), 2, seed=0, proj_dim=4))
+        blob = path.read_bytes()
+        assert edit[0] in blob
+        path.write_bytes(blob.replace(*edit))
+        with pytest.raises(DataError):
+            models.load_checkpoint(str(path))
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path):
+        params = models.init_params(EncoderSpec("toy_conv", (3, 4, 5)), 2, seed=0)
+        path = tmp_path / "model.ckpt"
+        models.save_checkpoint(str(path), params)
+        old = path.read_bytes()
+        params.arrays["proj.fc2.w"] = np.array(["not a number"])   # fails mid-write
+        with pytest.raises(ValueError):
+            models.save_checkpoint(str(path), params)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_save_is_deterministic(self, tmp_path):
         params = models.init_params(EncoderSpec("toy_conv", (3, 4, 5)), 2, seed=1)
