@@ -2,18 +2,19 @@
 
 All three are one engine, :func:`run_attack`: projected sign-gradient ascent
 of a scalar objective on the eps-ball around the clean input intersected with
-the [0, 1] pixel range; model weights are never touched. FGSM takes one step
-of size epsilon and returns that point. PGD and CW take ``num_steps`` steps,
-optionally from a random start, and return each sample's best visited iterate
-(start point included). ``DEFAULT_OBJECTIVES`` gives each kind's objective
-when ``cfg.objective`` is unset. ``fgsm``, ``pgd`` and ``cw`` are aliases of
-``run_attack``: each runs ``cfg.kind``.
+the [0, 1] pixel range; model weights are never touched. It takes
+``num_steps`` steps, optionally from a random start, and returns each
+sample's best visited iterate (start point included). For FGSM,
+:class:`AttackConfig` fixes one step of size epsilon and no random start.
+``DEFAULT_OBJECTIVES`` gives each kind's objective when ``cfg.objective`` is
+unset. ``fgsm``, ``pgd`` and ``cw`` are aliases of ``run_attack``.
 
 Under a supervised objective the clean input also counts as visited, and a
 sample leaves the attack at the first visited point the model misclassifies:
 that point is returned and no later step evaluates the sample. Only samples
-never misclassified get the return rule above. So the model misclassifies the
-returned point exactly when it misclassifies some visited point.
+never misclassified get the return rule above. ``context.fooled`` receives
+the verdict: true for exactly the samples that left, which are exactly the
+samples whose returned point the model misclassifies.
 
 Objectives (all "ascend to attack"):
 
@@ -66,8 +67,11 @@ class AttackConfig:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
         if self.objective is not None and self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if (self.kind != "fgsm" and self.step_size is not None
-                and self.step_size <= 0):
+        if self.kind == "fgsm":     # one step of size epsilon from the clean input
+            for name, value in (("step_size", self.epsilon), ("num_steps", 1),
+                                ("random_start", False)):
+                object.__setattr__(self, name, value)
+        elif self.step_size is not None and self.step_size <= 0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
 
     @property
@@ -83,6 +87,7 @@ class AttackContext:
     reference: np.ndarray | None = None     # (B, proj_dim) unit rows, embedding ones
     temperature: float = 0.1
     rng: np.random.Generator | None = None  # drives the optional random start
+    fooled: np.ndarray | None = None        # (B,) bool, set by a supervised attack
 
 
 def project_linf(x_adv: np.ndarray, x_ref: np.ndarray,
@@ -188,21 +193,20 @@ def objective_for(cfg: AttackConfig, supervised: bool) -> str:
 
 def run_attack(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
                context: AttackContext) -> np.ndarray:
-    """Attack a batch with ``cfg.kind``'s step schedule; see the module doc."""
+    """Attack a batch with ``cfg``'s step schedule; see the module doc."""
     x = np.asarray(x, dtype=np.float32)
     mode = objective_for(cfg, context.labels is not None)
     labels = np.asarray(context.labels) if mode.startswith("supervised") else None
-    fgsm = cfg.kind == "fgsm"
-    eps = np.float32(cfg.epsilon)
-    step, num_steps = (eps, 1) if fgsm else (np.float32(cfg.step), cfg.num_steps)
+    eps, step = np.float32(cfg.epsilon), np.float32(cfg.step)
     # the active rows' batch positions, context and iterate
     rows, ctx, cur = np.arange(len(x)), context, x
-    if cfg.random_start and cfg.epsilon > 0 and not fgsm:
+    fooled = np.zeros(len(x), dtype=bool)
+    if cfg.random_start and cfg.epsilon > 0:
         rng = context.rng if context.rng is not None else np.random.default_rng()
         if labels is not None:      # the clean input counts as visited
-            _, _, wrong = _eval_objective(model, x, mode, ctx, cfg.kappa,
-                                          want_grad=False)
-            rows = np.flatnonzero(~wrong)
+            _, _, fooled = _eval_objective(model, x, mode, ctx, cfg.kappa,
+                                           want_grad=False)
+            rows = np.flatnonzero(~fooled)
             ctx = replace(context, labels=labels[rows])
         # drawn for the whole batch, so the stream does not depend on who left
         noise = rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape).astype(np.float32)
@@ -212,30 +216,29 @@ def run_attack(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
     # the first evaluation, the one with the most rows
     out = None
     best = np.full(len(rows), -np.inf)
-    for i in range(num_steps + 1):
+    for i in range(cfg.num_steps + 1):
         if not len(rows):
             break
-        if fgsm and i == num_steps:
-            out[rows] = cur     # FGSM returns its stepped point unscored
-            break
         # the last evaluation only scores the final iterate, so needs no gradient
-        stepping = i < num_steps
+        stepping = i < cfg.num_steps
         per, grad, wrong = _eval_objective(model, cur, mode, ctx, cfg.kappa,
                                            want_grad=stepping)
         if out is None:
             out = x.copy()
         if labels is not None and wrong.any():
             out[rows[wrong]] = cur[wrong]
+            fooled[rows[wrong]] = True
             keep = ~wrong
             rows, cur, per, best = rows[keep], cur[keep], per[keep], best[keep]
             ctx = replace(context, labels=labels[rows])
             grad = grad[keep] if stepping else None
-        if not fgsm:
-            improved = per >= best
-            best = np.where(improved, per, best)
-            out[rows[improved]] = cur[improved]
+        improved = per >= best
+        best = np.where(improved, per, best)
+        out[rows[improved]] = cur[improved]
         if stepping:
             cur = project_linf(cur + step * np.sign(grad), x[rows], eps)
+    if labels is not None:
+        context.fooled = fooled
     return x.copy() if out is None else out
 
 

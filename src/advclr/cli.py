@@ -114,7 +114,7 @@ def _cmd_ingest_check(args, cfg: RunConfig) -> int:
 def _cmd_pretrain(args, cfg: RunConfig) -> int:
     train, _ = cfgmod.build_dataset(cfg)
     spec = cfgmod.build_encoder_spec(cfg)
-    pre_cfg = cfgmod.build_pretrain(cfg)
+    pre_cfg = cfgmod.build_pretrain(cfg, train.image_size)
     run_dir = _run_dir(args, cfg, "pretrain")
     t0 = time.monotonic()
     params, log = training.act_pretrain(train, spec, pre_cfg, out_dir=run_dir,
@@ -143,7 +143,7 @@ def _cmd_finetune(args, cfg: RunConfig) -> int:
 def _cmd_baseline(args, cfg: RunConfig) -> int:
     train, _ = cfgmod.build_dataset(cfg)
     spec = cfgmod.build_encoder_spec(cfg)
-    base_cfg = cfgmod.build_baseline(cfg)
+    base_cfg = cfgmod.build_baseline(cfg, train.image_size)
     run_dir = _run_dir(args, cfg, "baseline")
     params, log = training.supervised_train(train, spec, base_cfg,
                                             proj_dim=cfg.get("model", "proj_dim"))
@@ -213,7 +213,7 @@ def _cmd_report(args, cfg: RunConfig) -> int:
 
 
 def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
+    with models.atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 

@@ -210,14 +210,18 @@ def build_encoder_spec(cfg: RunConfig) -> EncoderSpec:
                     blocks_per_stage=cfg.get("model", "blocks_per_stage"))
 
 
-def build_augment(cfg: RunConfig) -> AugmentPolicy:
-    return _checked("augment", AugmentPolicy,
-                    crop_pad=cfg.get("augment", "crop_pad"),
+def build_augment(cfg: RunConfig, image_size: int) -> AugmentPolicy:
+    """The augmentation policy for images of side ``image_size``."""
+    crop_pad = cfg.get("augment", "crop_pad")
+    if crop_pad >= image_size:      # np.pad would reflect more than once
+        raise ConfigError(f"[augment] crop_pad must be below the image size "
+                          f"{image_size}, got {crop_pad}")
+    return _checked("augment", AugmentPolicy, crop_pad=crop_pad,
                     hflip_prob=cfg.get("augment", "hflip_prob"),
                     enabled=cfg.get("augment", "enabled"))
 
 
-def build_pretrain(cfg: RunConfig) -> PretrainConfig:
+def build_pretrain(cfg: RunConfig, image_size: int) -> PretrainConfig:
     pgd_view, cw_view = _checked("pretrain", default_view_attacks,
                                  epsilon=cfg.get("pretrain", "view_epsilon"),
                                  num_steps=cfg.get("pretrain", "view_steps"))
@@ -228,7 +232,7 @@ def build_pretrain(cfg: RunConfig) -> PretrainConfig:
                     momentum=cfg.get("pretrain", "momentum"),
                     tau=cfg.get("pretrain", "tau"),
                     pgd_view=pgd_view, cw_view=cw_view,
-                    augment=build_augment(cfg),
+                    augment=build_augment(cfg, image_size),
                     seed=cfg.get("run", "seed"),
                     checkpoint_every=cfg.get("pretrain", "checkpoint_every"))
 
@@ -241,12 +245,12 @@ def build_finetune(cfg: RunConfig) -> FinetuneConfig:
                     seed=cfg.get("run", "seed"))
 
 
-def build_baseline(cfg: RunConfig) -> SupervisedConfig:
+def build_baseline(cfg: RunConfig, image_size: int) -> SupervisedConfig:
     return _checked("baseline", SupervisedConfig,
                     epochs=cfg.require("baseline", "epochs"),
                     batch_size=cfg.get("baseline", "batch_size"),
                     lr0=cfg.get("baseline", "lr0"),
-                    augment=build_augment(cfg),
+                    augment=build_augment(cfg, image_size),
                     seed=cfg.get("run", "seed"))
 
 
@@ -260,14 +264,7 @@ def build_attacks(cfg: RunConfig) -> list[AttackConfig]:
     for key, values in (("kinds", kinds), ("epsilons", epsilons)):
         if not values:
             raise ConfigError(f"[attacks] {key} must name at least one value")
-    out = []
-    for kind in kinds:
-        for eps in epsilons:
-            if kind == "fgsm":
-                out.append(_checked("attacks", AttackConfig, kind="fgsm", epsilon=eps))
-            else:
-                out.append(_checked("attacks", AttackConfig, kind=kind, epsilon=eps,
-                                    step_size=step_size, num_steps=steps,
-                                    random_start=random_start and kind == "pgd",
-                                    kappa=kappa))
-    return out
+    return [_checked("attacks", AttackConfig, kind=kind, epsilon=eps,
+                     step_size=step_size, num_steps=steps,
+                     random_start=random_start and kind == "pgd", kappa=kappa)
+            for kind in kinds for eps in epsilons]

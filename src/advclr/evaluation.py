@@ -2,9 +2,10 @@
 
 A report holds one clean-accuracy number plus one cell per (attack, epsilon)
 pair. A cell's robust accuracy is the fraction of samples that are
-clean-correct and have no visited point misclassified: ``attacks.run_attack``
-returns a sample's first misclassified visited point, the clean input
-included, so checking its returned point counts exactly that. Reports
+clean-correct and have no visited point misclassified. ``attacks.run_attack``
+already classifies every point it visits, the clean input included, and
+writes each sample's verdict into its context as ``fooled``; the cell counts
+the samples not fooled and runs no forward of its own. Reports
 serialize to JSON (round-trip safe) and project to a flat CSV with columns
 model, attack, epsilon, accuracy.
 """
@@ -72,10 +73,6 @@ def _check_model_dataset(params: ModelParams, dataset: Dataset):
                          f"has {dataset.num_classes}")
 
 
-def _predict(params: ModelParams, images: np.ndarray) -> np.ndarray:
-    return models.logits_for(params, images).argmax(axis=1)
-
-
 def clean_accuracy(model: ModelParams, dataset: Dataset,
                    batch_size: int = 256) -> float:
     """Fraction of eval-mode argmax predictions matching the labels."""
@@ -84,7 +81,8 @@ def clean_accuracy(model: ModelParams, dataset: Dataset,
     for start in range(0, len(dataset), batch_size):
         images = dataset.images[start:start + batch_size]
         labels = dataset.labels[start:start + batch_size]
-        correct += int((_predict(model, images) == labels).sum())
+        predicted = models.logits_for(model, images).argmax(axis=1)
+        correct += int((predicted == labels).sum())
     return correct / len(dataset)
 
 
@@ -102,8 +100,8 @@ def robust_accuracy(model: ModelParams, dataset: Dataset, attack: AttackConfig,
         images = dataset.images[start:start + batch_size]
         labels = dataset.labels[start:start + batch_size]
         ctx = AttackContext(labels=labels, rng=rng)
-        x_adv = attacks.run_attack(model, images, attack, ctx)
-        correct += int((_predict(model, x_adv) == labels).sum())
+        attacks.run_attack(model, images, attack, ctx)
+        correct += int((~ctx.fooled).sum())
     return correct / len(dataset)
 
 

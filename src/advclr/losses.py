@@ -32,16 +32,6 @@ def _check_unit_rows(name: str, t: Tensor):
                          f"{np.max(np.abs(norms - 1.0)):.2e})")
 
 
-def cosine_sim(a, b) -> float:
-    """Cosine similarity of two vectors; raises on zero-norm input."""
-    av = np.asarray(a, dtype=np.float64).reshape(-1)
-    bv = np.asarray(b, dtype=np.float64).reshape(-1)
-    na, nb = np.linalg.norm(av), np.linalg.norm(bv)
-    if na < 1e-12 or nb < 1e-12:
-        raise ValueError("cosine_sim: zero vector")
-    return float(av @ bv / (na * nb))
-
-
 @dataclass
 class ContrastiveBatch:
     """One anchor row, one positive row, and a shared pool of negatives.

@@ -164,31 +164,6 @@ def lift_params(tape: T.Tape, params: ModelParams, dtype=np.float32,
     return lifted
 
 
-def flatten_arrays(params: ModelParams) -> np.ndarray:
-    """All weights packed into one vector, in sorted-name order."""
-    return np.concatenate([params.arrays[k].reshape(-1)
-                           for k in sorted(params.arrays)])
-
-
-def lift_from_vector(theta: Tensor, params: ModelParams) -> dict[str, Tensor]:
-    """Split a packed weight vector tensor back into named weight tensors.
-
-    Inverse of :func:`flatten_arrays`; used to differentiate a whole forward
-    pass with respect to every weight at once.
-    """
-    lifted = {}
-    offset = 0
-    for name in sorted(params.arrays):
-        shape = params.arrays[name].shape
-        count = int(np.prod(shape)) if shape else 1
-        lifted[name] = T.reshape(T.slice_rows(theta, offset, offset + count), shape)
-        offset += count
-    if offset != theta.data.size:
-        raise T.ShapeError(f"packed vector has {theta.data.size} entries, "
-                           f"weights need {offset}")
-    return lifted
-
-
 def _norm_forward(pt: dict, params: ModelParams, name: str, x: Tensor,
                   train: bool) -> Tensor:
     scale, shift = pt[f"{name}.scale"], pt[f"{name}.shift"]
@@ -303,8 +278,24 @@ def logits_for(params: ModelParams, images) -> np.ndarray:
 #             free-form meta
 #   payload   the arrays in index order as raw little-endian float32
 #
-# A save writes ``<path>.tmp`` and renames it over ``path``, so a reader never
-# sees a half-written file; a load rejects anything else with DataError.
+# A save goes through ``atomic_open``, so a reader never sees a half-written
+# file; a load rejects anything else with DataError.
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w", **kwargs):
+    """Write ``<path>.tmp``, then rename it over ``path`` once it is whole.
+
+    A write that fails leaves neither a partial ``path`` nor the temp file.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def save_checkpoint(path: str, params: ModelParams, meta: dict | None = None):
@@ -328,19 +319,13 @@ def save_checkpoint(path: str, params: ModelParams, meta: dict | None = None):
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(np.array(len(blob), dtype="<u4").tobytes())
-            fh.write(blob)
-            for name in names:
-                source = params.arrays if name in params.arrays else params.buffers
-                fh.write(np.ascontiguousarray(source[name], dtype="<f4").tobytes())
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+    with atomic_open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(np.array(len(blob), dtype="<u4").tobytes())
+        fh.write(blob)
+        for name in names:
+            source = params.arrays if name in params.arrays else params.buffers
+            fh.write(np.ascontiguousarray(source[name], dtype="<f4").tobytes())
 
 
 def load_checkpoint(path: str) -> ModelParams:

@@ -85,9 +85,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -95,9 +92,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -500,7 +494,7 @@ def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
         raise ShapeError(f"l2_normalize: expected 2-d input, got {x.shape}")
     norms = np.sqrt((x.data ** 2).sum(axis=1, keepdims=True))
     if np.any(norms < eps):
-        raise ValueError("l2_normalize: zero-norm row cannot be normalized")
+        raise NumericError("l2_normalize: zero-norm row cannot be normalized")
     out = x.data / norms
 
     def pull(g):

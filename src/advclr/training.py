@@ -35,8 +35,8 @@ def default_view_attacks(epsilon: float = 0.03, num_steps: int = 5) -> tuple[Att
 @dataclass
 class PretrainConfig:
     epochs: int
-    batch_size: int = 512
-    lr0: float = 0.4
+    batch_size: int
+    lr0: float
     momentum: float = 0.9
     tau: float = 0.1
     pgd_view: AttackConfig = field(default_factory=lambda: default_view_attacks()[0])
@@ -61,9 +61,6 @@ class FinetuneConfig:
     epochs: int
     batch_size: int = 128
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -78,8 +75,8 @@ class SupervisedConfig:
     """Plain cross-entropy training of encoder + classifier (baseline arm)."""
 
     epochs: int
-    batch_size: int = 128
-    lr0: float = 0.1
+    batch_size: int
+    lr0: float
     momentum: float = 0.9
     augment: AugmentPolicy = field(default_factory=lambda: AugmentPolicy(crop_pad=2, hflip_prob=0.5))
     seed: int = 0
@@ -116,9 +113,6 @@ class TrainLog:
         records = [EpochRecord(**json.loads(line))
                    for line in text.splitlines() if line.strip()]
         return TrainLog(records)
-
-    def losses(self) -> list[float]:
-        return [r.loss for r in self.records]
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
@@ -299,7 +293,7 @@ def finetune(dataset: Dataset, checkpoint, num_classes: int,
             loss = losses.cross_entropy(logits, dataset.labels[idx])
             epoch_losses.append(_loss_guard(float(loss.data), epoch, batch_idx))
             grads = _grad_by_name(tape, loss, leaves)
-            adam_step(params, grads, opt_state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+            adam_step(params, grads, opt_state, cfg.lr)
         log.records.append(EpochRecord(epoch, float(np.mean(epoch_losses)),
                                        cfg.lr, time.monotonic() - t0))
     return params, log

@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
 
 import advclr as A
 from advclr import data, training
+from advclr import tensor as T
+from advclr.models import ModelParams
+from advclr.tensor import Tensor
 
 
 TOY_SPEC = A.EncoderSpec("toy_conv", (8, 16, 32))
@@ -42,3 +46,31 @@ def toy_act(toy_data):
 @pytest.fixture()
 def random_model():
     return A.init_params(TOY_SPEC, 10, seed=99)
+
+
+# --- whole-network gradient oracle (acceptance criterion 1) ----------------
+
+
+def flatten_arrays(params: ModelParams) -> np.ndarray:
+    """All weights packed into one vector, in sorted-name order."""
+    return np.concatenate([params.arrays[k].reshape(-1)
+                           for k in sorted(params.arrays)])
+
+
+def lift_from_vector(theta: Tensor, params: ModelParams) -> dict[str, Tensor]:
+    """Split a packed weight vector tensor back into named weight tensors.
+
+    Inverse of :func:`flatten_arrays`; used to differentiate a whole forward
+    pass with respect to every weight at once.
+    """
+    lifted = {}
+    offset = 0
+    for name in sorted(params.arrays):
+        shape = params.arrays[name].shape
+        count = int(np.prod(shape)) if shape else 1
+        lifted[name] = T.reshape(T.slice_rows(theta, offset, offset + count), shape)
+        offset += count
+    if offset != theta.data.size:
+        raise T.ShapeError(f"packed vector has {theta.data.size} entries, "
+                           f"weights need {offset}")
+    return lifted

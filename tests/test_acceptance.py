@@ -19,7 +19,8 @@ from advclr import attacks, data, evaluation, losses, models, training
 from advclr import tensor as T
 from advclr.attacks import AttackConfig, AttackContext
 from advclr.losses import ContrastiveBatch, ViewTriple
-from advclr.tensor import constant
+from advclr.tensor import NumericError, constant
+from conftest import flatten_arrays, lift_from_vector
 
 SEEDS = (0, 1, 2)
 EVAL_ATTACK = AttackConfig("pgd", 0.03, num_steps=10, random_start=True)
@@ -158,10 +159,10 @@ def test_criterion_1_autodiff_matches_finite_differences():
         labels = rng.integers(0, 3, size=2)
         ref = rng.normal(size=(2, 6))
         ref /= np.linalg.norm(ref, axis=1, keepdims=True)
-        theta0 = models.flatten_arrays(params).astype(np.float64)
+        theta0 = flatten_arrays(params).astype(np.float64)
 
         def full_loss(theta, x):
-            lifted = models.lift_from_vector(theta, params)
+            lifted = lift_from_vector(theta, params)
             emb = models.encode(params, constant(x), lifted=lifted)
             ce = losses.cross_entropy(models.classify(params, emb, lifted=lifted),
                                       labels)
@@ -176,7 +177,7 @@ def test_criterion_1_autodiff_matches_finite_differences():
             x = rng.uniform(0.15, 0.85, size=(2, 3, 8, 8))
             try:
                 kink, norm = _kink_clearance(lambda: full_loss(constant(theta0), x))
-            except ValueError:
+            except (ValueError, NumericError):
                 continue
             if kink > 1e-3 and norm > 0.1:
                 break

@@ -1,5 +1,7 @@
 """Attack contracts: objectives, ball/range invariants, best-so-far, collapse."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +104,37 @@ class TestProjectLinf:
 
 
 class TestFgsm:
+    def test_schedule_is_one_step_of_epsilon(self):
+        cfg = AttackConfig("fgsm", 0.03, step_size=0.01, num_steps=5, random_start=True)
+        assert (cfg.step, cfg.num_steps, cfg.random_start) == (0.03, 1, False)
+        assert replace(AttackConfig("fgsm", 0.0), epsilon=0.05).step == 0.05
+
+    def test_kept_row_returns_the_better_of_clean_and_stepped(self, monkeypatch):
+        params = small_model()
+        rng = np.random.default_rng(18)
+        x = images(rng, 8)
+        labels = models.logits_for(params, x).argmax(axis=1)   # all clean-correct
+        visited = [[] for _ in x]        # (objective, point, misclassified) per row
+        real = attacks._eval_objective
+
+        def spy(model, xq, *args, **kwargs):
+            per, grad, wrong = real(model, xq, *args, **kwargs)
+            for row, point, value, w in zip(source_rows(xq, x), xq, per, wrong):
+                visited[row].append((value, point.copy(), w))
+            return per, grad, wrong
+
+        monkeypatch.setattr(attacks, "_eval_objective", spy)
+        out = attacks.fgsm(params, x, AttackConfig("fgsm", 0.05), AttackContext(labels=labels))
+        kept = 0
+        for row, (clean, stepped) in enumerate(visited):
+            if stepped[2]:
+                np.testing.assert_array_equal(out[row], stepped[1])
+            else:
+                kept += 1
+                better = stepped if stepped[0] >= clean[0] else clean
+                np.testing.assert_array_equal(out[row], better[1])
+        assert kept
+
     def test_zero_epsilon_is_identity(self):
         params = small_model()
         rng = np.random.default_rng(4)
@@ -349,14 +382,15 @@ def test_correct_after_attack_only_if_correct_at_every_visited_point(
 
     monkeypatch.setattr(attacks, "_eval_objective", spy)
     cfg = AttackConfig(kind, 0.01, num_steps=5, random_start=kind == "pgd")
-    x_adv = attacks.run_attack(toy_baseline, x, cfg,
-                               AttackContext(labels=labels, rng=np.random.default_rng(6)))
+    ctx = AttackContext(labels=labels, rng=np.random.default_rng(6))
+    x_adv = attacks.run_attack(toy_baseline, x, cfg, ctx)
     clean_ok = models.logits_for(toy_baseline, x).argmax(axis=1) == labels
     adv_ok = models.logits_for(toy_baseline, x_adv).argmax(axis=1) == labels
     assert adv_ok.any() and not adv_ok.all()
     assert not np.any(adv_ok & ~clean_ok)
-    if kind != "fgsm":      # FGSM never evaluates its stepped point
-        np.testing.assert_array_equal(adv_ok, clean_ok & ~ever_wrong)
+    np.testing.assert_array_equal(adv_ok, clean_ok & ~ever_wrong)
+    # the engine's own verdict is the same fact, with no forward of its own
+    np.testing.assert_array_equal(ctx.fooled, ~adv_ok)
 
 
 @pytest.mark.parametrize("supervised", [True, False], ids=["labels", "reference"])

@@ -1,11 +1,14 @@
 """End-to-end command-line driver checks on a miniature pipeline."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import advclr
 from advclr import cli, evaluation, models
-from advclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK
+from advclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK
 
 TINY_CFG = """
 [run]
@@ -130,6 +133,7 @@ BAD_INPUTS = {
     "zero-eval-batch": ("evaluate", [], ("batch_size = 64", "batch_size = 0"), "[eval]"),
     "zero-proj-dim": ("pretrain", [], ("proj_dim = 8", "proj_dim = 0"), "[model]"),
     "zero-image-size": ("pretrain", [], ("image_size = 16", "image_size = 0"), "[data]"),
+    "crop-pad-beyond-image": ("pretrain", [], ("crop_pad = 1", "crop_pad = 20"), "[augment]"),
 }
 
 
@@ -174,6 +178,59 @@ def test_checkpoint_class_mismatch_is_data_error(cfg_file, tmp_path):
         models.EncoderSpec("toy_conv", (4, 6, 8)), num_classes=5, seed=0, proj_dim=8))
     assert cli.main(["finetune", "--config", cfg_file, "--checkpoint", ckpt,
                      "--run-dir", str(tmp_path / "ft")]) == EXIT_DATA
+
+
+COLLAPSING_CFG = """
+[data]
+num_classes = 4
+per_class = 20
+image_size = 8
+
+[model]
+widths = 4,4,4
+proj_dim = 8
+
+[pretrain]
+epochs = 2
+batch_size = 16
+"""
+
+
+def test_collapsed_network_is_numeric_error(tmp_path, capsys):
+    # so narrow a network maps some image to an all-zero embedding, which
+    # the projection head cannot normalize
+    path = tmp_path / "collapse.cfg"
+    path.write_text(COLLAPSING_CFG)
+    assert cli.main(["pretrain", "--config", str(path),
+                     "--run-dir", str(tmp_path / "run")]) == EXIT_NUMERIC
+    assert "zero-norm" in capsys.readouterr().err
+
+
+# evaluate with the process's file-size limit below the report's size: the
+# first report write fails partway through
+_FAILING_WRITE = """
+import resource, signal, sys
+from advclr import cli
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (256, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_failed_report_write_leaves_no_file(cfg_file, tmp_path):
+    ckpt = str(tmp_path / "model.ckpt")
+    models.save_checkpoint(ckpt, models.init_params(
+        models.EncoderSpec("toy_conv", (4, 6, 8)), num_classes=4, seed=0, proj_dim=8))
+    run_dir = tmp_path / "ev"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(advclr.__file__)))
+    done = subprocess.run([sys.executable, "-c", _FAILING_WRITE, "evaluate",
+                           "--config", cfg_file, "--checkpoint", ckpt,
+                           "--epsilons", "0.03", "--run-dir", str(run_dir)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == EXIT_IO, done.stderr
+    assert "File too large" in done.stderr
+    assert os.listdir(run_dir) == []
 
 
 def test_gradcheck_passes(capsys):

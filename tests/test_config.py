@@ -35,7 +35,7 @@ def write(tmp_path, text):
 class TestParse:
     def test_minimal_file_fills_defaults(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))
-        pre = cfgmod.build_pretrain(cfg)
+        pre = cfgmod.build_pretrain(cfg, 16)
         assert pre.tau == 0.1
         assert pre.momentum == 0.9
         assert pre.epochs == 2
@@ -100,7 +100,7 @@ class TestBuilders:
         no_epochs = MINIMAL.replace("[pretrain]\nepochs = 2\n", "")
         cfg = parse_config(write(tmp_path, no_epochs))
         with pytest.raises(ConfigError, match=r"\[pretrain\] epochs"):
-            cfgmod.build_pretrain(cfg)
+            cfgmod.build_pretrain(cfg, 16)
 
     def test_attack_grid(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))

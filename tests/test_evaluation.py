@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import advclr as A
-from advclr import data, evaluation, models
-from advclr.attacks import AttackConfig
+from advclr import attacks, data, evaluation, models
+from advclr.attacks import AttackConfig, AttackContext
 from advclr.data import DataError
 from advclr.evaluation import EvalReport
 
@@ -88,6 +88,27 @@ class TestRobustAccuracy:
             cfg = AttackConfig("pgd", eps, num_steps=5, random_start=True)
             accs.append(evaluation.robust_accuracy(toy_baseline, test, cfg, seed=7))
         assert accs[1] <= accs[0] + 0.02
+
+    @pytest.mark.parametrize("kind", ["fgsm", "pgd", "cw"])
+    def test_counts_the_attack_verdict_without_predicting(self, toy_baseline,
+                                                          toy_data, monkeypatch, kind):
+        # the cell equals "correct on the returned point", yet reads the
+        # attack's own verdict: it makes no forward after the attack
+        _, test = toy_data
+        cfg = AttackConfig(kind, 0.03, num_steps=3, random_start=kind == "pgd")
+        rng, correct = np.random.default_rng(2), 0
+        for start in range(0, len(test), 256):
+            x, y = test.images[start:start + 256], test.labels[start:start + 256]
+            x_adv = attacks.run_attack(toy_baseline, x, cfg,
+                                       AttackContext(labels=y, rng=rng))
+            correct += int((models.logits_for(toy_baseline, x_adv).argmax(axis=1) == y).sum())
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("robust_accuracy ran a forward after the attack")
+
+        monkeypatch.setattr(models, "logits_for", no_forward)
+        assert evaluation.robust_accuracy(toy_baseline, test, cfg, seed=2) == \
+            correct / len(test)
 
     def test_unsupervised_objective_rejected(self, toy_baseline, toy_data):
         _, test = toy_data

@@ -34,23 +34,6 @@ def nce_terms_numpy(anchors, positives, pool, exclude, tau):
     return -(shifted[:, 0] - np.log(np.exp(shifted).sum(axis=1)))
 
 
-class TestCosine:
-    def test_self(self):
-        v = np.array([0.3, -0.4, 1.2])
-        assert losses.cosine_sim(v, v) == pytest.approx(1.0)
-
-    def test_antipodal(self):
-        v = np.array([0.3, -0.4, 1.2])
-        assert losses.cosine_sim(v, -v) == pytest.approx(-1.0)
-
-    def test_orthogonal(self):
-        assert losses.cosine_sim([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-
-    def test_zero_vector(self):
-        with pytest.raises(ValueError, match="zero"):
-            losses.cosine_sim([0.0, 0.0], [1.0, 0.0])
-
-
 def equal_similarity_batch(n_negatives, tau=0.1, batch=3, dim=8):
     row = np.zeros(dim)
     row[0] = 1.0

@@ -9,7 +9,7 @@ import pytest
 from advclr import losses, models, tensor as T, training
 from advclr.data import DataError
 from advclr.models import EncoderSpec
-from advclr.tensor import constant
+from advclr.tensor import NumericError, constant
 
 
 def rand_images(rng, n, size=8):
@@ -127,7 +127,7 @@ class TestProject:
         np.testing.assert_array_equal(z[0], z[1])
 
     def test_zero_embedding_rejected(self, params):
-        with pytest.raises(ValueError, match="zero"):
+        with pytest.raises(NumericError, match="zero"):
             models.project(params, np.zeros((1, 8), dtype=np.float32))
 
 

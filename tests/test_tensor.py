@@ -89,7 +89,7 @@ class TestForward:
         np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-6)
 
     def test_l2_normalize_zero_row_error(self):
-        with pytest.raises(ValueError, match="zero"):
+        with pytest.raises(NumericError, match="zero"):
             T.l2_normalize(constant(np.zeros((1, 4))))
 
     def test_max_pool2_odd_dims_error(self):
