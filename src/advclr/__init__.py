@@ -1,10 +1,10 @@
 """Adversarial-contrastive pretraining and robustness evaluation toolkit."""
 
 from .tensor import Tape, Tensor, ShapeError, NumericError, constant, grad_check
-from .data import (AugmentPolicy, Batch, DataError, Dataset, augment_batch,
-                   batch_iter, load_cifar10, make_synthetic)
+from .data import (AugmentPolicy, DataError, Dataset, augment_batch, batch_iter,
+                   load_cifar10, make_synthetic)
 from .models import (EncoderSpec, ModelParams, classify, encode, init_params,
-                     load_checkpoint, project, save_checkpoint, set_freeze)
+                     load_checkpoint, project, save_checkpoint)
 from .losses import (ContrastiveBatch, ViewTriple, adv_contrastive,
                      cross_entropy, info_nce)
 from .attacks import (AttackConfig, AttackContext, attack_objective, cw,

@@ -78,8 +78,9 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
                 "random_start": ("bool", True), "kappa": ("float", 0.0)},
     "eval": {"batch_size": ("int", 256), "max_test": ("int", 0)},
 }
-# integer keys that must be at least 1, whichever command reads them
-AT_LEAST_ONE = (("data", "image_size"), ("model", "proj_dim"), ("eval", "batch_size"))
+# lower bounds of integer keys, whichever command reads them
+MINIMUMS = {("data", "image_size"): 1, ("model", "proj_dim"): 1,
+            ("eval", "batch_size"): 1, ("eval", "max_test"): 0}
 
 
 @dataclass
@@ -163,9 +164,9 @@ def parse_config(path: str | None = None,
             raise ConfigError(f"unknown override {dotted!r}")
         if value is not None:
             cfg.values[section][key] = value
-    for section, key in AT_LEAST_ONE:
-        if cfg.values[section][key] < 1:
-            raise ConfigError(f"[{section}] {key} must be >= 1, "
+    for (section, key), least in MINIMUMS.items():
+        if cfg.values[section][key] < least:
+            raise ConfigError(f"[{section}] {key} must be >= {least}, "
                               f"got {cfg.values[section][key]}")
     return cfg
 

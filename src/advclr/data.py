@@ -69,15 +69,6 @@ class Dataset:
         return self.images.shape[2]
 
 
-@dataclass
-class Batch:
-    images: np.ndarray   # (B, 3, H, W) float32
-    labels: np.ndarray   # (B,) int64
-
-    def __len__(self) -> int:
-        return self.images.shape[0]
-
-
 def _read_cifar_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     expected = _CIFAR_RECORD_BYTES * _CIFAR_RECORDS_PER_FILE
     if not os.path.isfile(path):
@@ -207,20 +198,19 @@ def augment_batch(images: np.ndarray, policy: AugmentPolicy,
     return np.ascontiguousarray(out)
 
 
-def batch_iter(dataset: Dataset, batch_size: int,
-               shuffle_seed: int | None = None) -> Iterator[Batch]:
-    """Yield every image exactly once per epoch, last partial batch included.
+def batch_iter(n: int, batch_size: int,
+               shuffle_seed: int | None = None) -> Iterator[np.ndarray]:
+    """Yield the row indices of one epoch over ``n`` rows, in batches.
 
-    Without a seed the dataset order is preserved; with a seed the shuffle
-    is deterministic.
+    Every row appears exactly once, last partial batch included. Without a
+    seed the rows keep their order; with a seed the shuffle is deterministic.
     """
-    if len(dataset) == 0:
+    if n == 0:
         raise DataError("cannot iterate an empty dataset")
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
-    order = np.arange(len(dataset))
+    order = np.arange(n)
     if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(len(dataset))
-    for start in range(0, len(dataset), batch_size):
-        idx = order[start:start + batch_size]
-        yield Batch(dataset.images[idx], dataset.labels[idx])
+        order = np.random.default_rng(shuffle_seed).permutation(n)
+    for start in range(0, n, batch_size):
+        yield order[start:start + batch_size]

@@ -1,4 +1,4 @@
-"""Encoders, projection head, classifier head, freezing, and checkpoints.
+"""Encoders, projection head, classifier head, and checkpoints.
 
 Two encoder families share one parameter container:
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,13 +29,12 @@ from .data import DataError
 from .tensor import Tensor
 
 ENCODER_KINDS = ("toy_conv", "resnet_small")
-FREEZE_SCOPES = ("encoder", "projection", "classifier")
 
 _NORM_EPS = 1e-5
 _NORM_MOMENTUM = 0.1
 
 CHECKPOINT_MAGIC = b"ADVCLRC1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -76,92 +75,74 @@ class ModelParams:
     seed: int
     arrays: dict[str, np.ndarray]    # trainable weights, float32
     buffers: dict[str, np.ndarray]   # channel-norm running statistics
-    frozen: set[str] = field(default_factory=set)
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.spec, self.num_classes, self.proj_dim, self.seed,
                            {k: v.copy() for k, v in self.arrays.items()},
-                           {k: v.copy() for k, v in self.buffers.items()},
-                           set(self.frozen))
-
-
-def _he(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)
+                           {k: v.copy() for k, v in self.buffers.items()})
 
 
 def _add_norm(arrays, buffers, name: str, channels: int):
-    arrays[f"{name}.scale"] = np.ones(channels, dtype=np.float32)
-    arrays[f"{name}.shift"] = np.zeros(channels, dtype=np.float32)
-    buffers[f"{name}.mean"] = np.zeros(channels, dtype=np.float32)
-    buffers[f"{name}.var"] = np.ones(channels, dtype=np.float32)
+    arrays[f"{name}.scale"] = arrays[f"{name}.shift"] = (channels,)
+    buffers[f"{name}.mean"] = buffers[f"{name}.var"] = (channels,)
 
 
-def _add_dense(arrays, rng, name: str, d_in: int, d_out: int):
-    arrays[f"{name}.w"] = _he(rng, (d_in, d_out), d_in)
-    arrays[f"{name}.b"] = np.zeros(d_out, dtype=np.float32)
-
-
-def init_params(spec: EncoderSpec, num_classes: int, seed: int,
-                proj_dim: int = 128) -> ModelParams:
-    """Seeded fan-in-scaled initialization; biases and norm shifts start at zero."""
+def _layout(spec: EncoderSpec, num_classes: int,
+            proj_dim: int) -> tuple[dict[str, tuple], dict[str, tuple]]:
+    """Names and shapes of a model's weights and of its buffers, in init order."""
     if num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
-    rng = np.random.default_rng(seed)
-    arrays: dict[str, np.ndarray] = {}
-    buffers: dict[str, np.ndarray] = {}
+    arrays: dict[str, tuple] = {}
+    buffers: dict[str, tuple] = {}
     if spec.kind == "toy_conv":
         cin = 3
         for i, cout in enumerate(spec.widths, start=1):
-            arrays[f"encoder.conv{i}.w"] = _he(rng, (cout, cin, 3, 3), cin * 9)
+            arrays[f"encoder.conv{i}.w"] = (cout, cin, 3, 3)
             _add_norm(arrays, buffers, f"encoder.norm{i}", cout)
             cin = cout
     else:
         w0 = spec.widths[0]
-        arrays["encoder.stem.w"] = _he(rng, (w0, 3, 3, 3), 27)
+        arrays["encoder.stem.w"] = (w0, 3, 3, 3)
         _add_norm(arrays, buffers, "encoder.stem_norm", w0)
         prev = w0
         for s, width in enumerate(spec.widths):
             if s > 0:
-                arrays[f"encoder.down{s}.w"] = _he(rng, (width, prev, 3, 3), prev * 9)
+                arrays[f"encoder.down{s}.w"] = (width, prev, 3, 3)
                 _add_norm(arrays, buffers, f"encoder.down{s}_norm", width)
             for b in range(spec.blocks_per_stage):
                 base = f"encoder.s{s}b{b}"
-                arrays[f"{base}.conv1.w"] = _he(rng, (width, width, 3, 3), width * 9)
+                arrays[f"{base}.conv1.w"] = (width, width, 3, 3)
                 _add_norm(arrays, buffers, f"{base}.norm1", width)
-                arrays[f"{base}.conv2.w"] = _he(rng, (width, width, 3, 3), width * 9)
+                arrays[f"{base}.conv2.w"] = (width, width, 3, 3)
                 _add_norm(arrays, buffers, f"{base}.norm2", width)
             prev = width
     emb = spec.embedding_dim
     # bias-free head keeps it positively homogeneous, so the normalized
     # output is exactly invariant to positive rescaling of the embeddings
-    arrays["proj.fc1.w"] = _he(rng, (emb, emb), emb)
-    arrays["proj.fc2.w"] = _he(rng, (emb, proj_dim), emb)
-    _add_dense(arrays, rng, "classifier", emb, num_classes)
+    arrays["proj.fc1.w"] = (emb, emb)
+    arrays["proj.fc2.w"] = (emb, proj_dim)
+    arrays["classifier.w"] = (emb, num_classes)
+    arrays["classifier.b"] = (num_classes,)
+    return arrays, buffers
+
+
+def init_params(spec: EncoderSpec, num_classes: int, seed: int,
+                proj_dim: int = 128) -> ModelParams:
+    """Seeded fan-in-scaled initialization; biases and norm shifts start at
+    zero, norm scales and running variances at one."""
+    shapes, buffer_shapes = _layout(spec, num_classes, proj_dim)
+    rng = np.random.default_rng(seed)
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
+        if name.endswith(".w"):     # conv (out, in, 3, 3) or dense (in, out)
+            fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
+            arrays[name] = (rng.standard_normal(shape)
+                            * np.sqrt(2.0 / fan_in)).astype(np.float32)
+        else:
+            arrays[name] = np.full(shape, float(name.endswith(".scale")), np.float32)
+    buffers = {name: np.full(shape, float(name.endswith(".var")), np.float32)
+               for name, shape in buffer_shapes.items()}
     return ModelParams(spec, num_classes, proj_dim, seed, arrays, buffers)
-
-
-def set_freeze(params: ModelParams, scope: str, frozen: bool) -> ModelParams:
-    """Mark a scope's weights as untouchable by optimizer steps (in place)."""
-    if scope not in FREEZE_SCOPES:
-        raise ValueError(f"unknown freeze scope {scope!r}")
-    prefix = {"encoder": "encoder.", "projection": "proj.",
-              "classifier": "classifier."}[scope]
-    names = {k for k in params.arrays if k.startswith(prefix)}
-    if frozen:
-        params.frozen |= names
-    else:
-        params.frozen -= names
-    return params
-
-
-def lift_params(tape: T.Tape, params: ModelParams, dtype=np.float32,
-                trainable: bool = False) -> dict[str, Tensor]:
-    """Wrap weight arrays as tape leaves (trainable, non-frozen) or constants."""
-    lifted = {}
-    for name, arr in params.arrays.items():
-        grad = trainable and name not in params.frozen
-        lifted[name] = tape.leaf(arr, requires_grad=grad, dtype=dtype)
-    return lifted
 
 
 def _norm_forward(pt: dict, params: ModelParams, name: str, x: Tensor,
@@ -274,8 +255,7 @@ def logits_for(params: ModelParams, images) -> np.ndarray:
 #   8 bytes   magic "ADVCLRC1"
 #   4 bytes   uint32 header length
 #   N bytes   UTF-8 JSON header: format version, encoder spec, head sizes,
-#             seed, frozen names, ordered array index (name, shape, kind),
-#             free-form meta
+#             seed, ordered array index (name, shape, kind), free-form meta
 #   payload   the arrays in index order as raw little-endian float32
 #
 # A save goes through ``atomic_open``, so a reader never sees a half-written
@@ -314,7 +294,6 @@ def save_checkpoint(path: str, params: ModelParams, meta: dict | None = None):
         "num_classes": params.num_classes,
         "proj_dim": params.proj_dim,
         "seed": params.seed,
-        "frozen": sorted(params.frozen),
         "arrays": index,
         "meta": meta or {},
     }
@@ -331,7 +310,8 @@ def save_checkpoint(path: str, params: ModelParams, meta: dict | None = None):
 def load_checkpoint(path: str) -> ModelParams:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Raises DataError unless the file is one whole checkpoint of this format.
+    Raises DataError unless the file is one whole checkpoint of this format
+    whose arrays have the names and shapes its header's model implies.
     """
     with open(path, "rb") as fh:
         payload = fh.read()
@@ -359,9 +339,18 @@ def load_checkpoint(path: str) -> ModelParams:
             offset += count * 4
             target = arrays if entry["kind"] == "param" else buffers
             target[entry["name"]] = arr.astype(np.float32)
-        return ModelParams(EncoderSpec.from_dict(header["encoder"]),
-                           header["num_classes"], header["proj_dim"], header["seed"],
-                           arrays, buffers, set(header["frozen"]))
+        params = ModelParams(EncoderSpec.from_dict(header["encoder"]),
+                             header["num_classes"], header["proj_dim"], header["seed"],
+                             arrays, buffers)
+        layout = _layout(params.spec, params.num_classes, params.proj_dim)
+        for found, needed in zip((arrays, buffers), layout):
+            for name in sorted(found.keys() | needed.keys()):
+                got = found[name].shape if name in found else "absent"
+                want = needed.get(name, "absent")
+                if got != want:
+                    raise DataError(f"{path}: array {name!r} is {got}, the header's "
+                                    f"model needs {want}")
+        return params
     except DataError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

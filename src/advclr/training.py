@@ -1,5 +1,7 @@
 """Training loops: adversarial-contrastive pretraining, linear-probe
 fine-tuning, a plain cross-entropy baseline, and the optimizers behind them.
+The three loops share one epoch driver; each supplies its per-batch loss and
+names the weights it trains.
 
 All loops are deterministic for a fixed (dataset, spec, config, seed): every
 random decision (shuffling, augmentation, attack starts) is drawn from child
@@ -13,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -126,10 +129,8 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
 
 def sgd_momentum_step(params: ModelParams, grads: dict[str, np.ndarray],
                       state: dict[str, np.ndarray], lr: float, momentum: float):
-    """v <- momentum*v + g; p <- p - lr*v. Frozen weights are untouched."""
+    """v <- momentum*v + g; p <- p - lr*v for each named gradient."""
     for name, g in grads.items():
-        if name in params.frozen:
-            continue
         p = params.arrays[name]
         if g.shape != p.shape:
             raise T.ShapeError(f"sgd step: gradient {g.shape} != param "
@@ -145,12 +146,10 @@ def sgd_momentum_step(params: ModelParams, grads: dict[str, np.ndarray],
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
               state: dict, lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8):
-    """Bias-corrected Adam update. Frozen weights are untouched."""
+    """Bias-corrected Adam update of each named gradient's weight."""
     t = state.get("t", 0) + 1
     state["t"] = t
     for name, g in grads.items():
-        if name in params.frozen:
-            continue
         p = params.arrays[name]
         if g.shape != p.shape:
             raise T.ShapeError(f"adam step: gradient {g.shape} != param "
@@ -167,16 +166,46 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
         params.arrays[name] = p - np.float32(lr) * m_hat / (np.sqrt(v_hat) + np.float32(eps))
 
 
-def _grad_by_name(tape: T.Tape, loss, leaves: dict[str, T.Tensor]) -> dict[str, np.ndarray]:
-    handle_grads = tape.backward(loss)
-    return {name: handle_grads[t.handle] for name, t in leaves.items()
-            if t.requires_grad}
-
-
 def _loss_guard(value: float, epoch: int, batch_idx: int) -> float:
     if not math.isfinite(value):
         raise NumericError(f"non-finite loss at epoch {epoch}, batch {batch_idx}")
     return value
+
+
+def _descend(params: ModelParams, trains: tuple[str, ...], n: int, batch_size: int,
+             shuffle_seeds, batch_loss, lr_at, update) -> Iterator[EpochRecord]:
+    """Descend ``batch_loss(idx, leaves)`` over ``n`` rows, one epoch per seed.
+
+    Only the weights whose names start with one of ``trains`` are lifted as
+    gradient leaves, so only they are updated; ``update(params, grads, state,
+    lr)`` steps them at ``lr_at(step)``. Yields each epoch's record, whose lr
+    is its last step's.
+    """
+    state: dict = {}
+    step = 0
+    for epoch, seed in enumerate(shuffle_seeds):
+        t0 = time.monotonic()
+        epoch_losses = []
+        for batch_idx, idx in enumerate(data.batch_iter(n, batch_size, int(seed))):
+            tape = T.Tape()
+            leaves = {name: tape.leaf(arr, requires_grad=True, dtype=np.float32)
+                      for name, arr in params.arrays.items() if name.startswith(trains)}
+            loss = batch_loss(idx, leaves)
+            epoch_losses.append(_loss_guard(float(loss.data), epoch, batch_idx))
+            grads = tape.backward(loss)
+            lr = lr_at(step)
+            update(params, {name: grads[t.handle] for name, t in leaves.items()},
+                   state, lr)
+            step += 1
+        yield EpochRecord(epoch, float(np.mean(epoch_losses)), lr, time.monotonic() - t0)
+
+
+def _momentum_on_cosine(cfg: PretrainConfig | SupervisedConfig, n: int):
+    """``lr_at`` and ``update`` for momentum SGD on the cosine schedule."""
+    total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
+    return (lambda step: cosine_lr(step, total_steps, cfg.lr0),
+            lambda params, grads, state, lr: sgd_momentum_step(
+                params, grads, state, lr, cfg.momentum))
 
 
 def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig,
@@ -188,58 +217,44 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
     image against the current weights, then descend the contrastive loss over
     the (clean, PGD, CW) projections with momentum SGD on a cosine schedule.
     """
-    if len(dataset) == 0:
-        raise data.DataError("act_pretrain: empty dataset")
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     aug_rng = np.random.default_rng(seeds[0])
     attack_rng = np.random.default_rng(seeds[1])
     shuffle_seeds = np.random.default_rng(seeds[2]).integers(0, 2 ** 31, size=cfg.epochs)
-
     params = models.init_params(spec, dataset.num_classes, cfg.seed, proj_dim)
-    batches_per_epoch = math.ceil(len(dataset) / cfg.batch_size)
-    total_steps = cfg.epochs * batches_per_epoch
-    opt_state: dict[str, np.ndarray] = {}
-    log = TrainLog()
-    step = 0
-    for epoch in range(cfg.epochs):
-        t0 = time.monotonic()
-        epoch_losses = []
-        pgd_views = cw_views = 0
-        for batch_idx, batch in enumerate(
-                data.batch_iter(dataset, cfg.batch_size, int(shuffle_seeds[epoch]))):
-            x_aug = data.augment_batch(batch.images, cfg.augment, aug_rng)
-            z_ref = models.project(params, models.encode(params, x_aug)).data
-            ctx = AttackContext(reference=z_ref, temperature=cfg.tau, rng=attack_rng)
-            x_pgd = attacks.pgd(params, x_aug, cfg.pgd_view, ctx)
-            x_cw = attacks.cw(params, x_aug, cfg.cw_view, ctx)
-            pgd_views += len(batch)
-            cw_views += len(batch)
+    views = [0, 0]      # PGD and CW views made this epoch
 
-            tape = T.Tape()
-            leaves = models.lift_params(tape, params, trainable=True)
-            x_all = tape.leaf(np.concatenate([x_aug, x_pgd, x_cw]))
-            emb = models.encode(params, x_all, train=True, lifted=leaves)
-            z_all = models.project(params, emb, lifted=leaves)
-            b = len(batch)
-            triple = losses.ViewTriple(T.slice_rows(z_all, 0, b),
-                                       T.slice_rows(z_all, b, 2 * b),
-                                       T.slice_rows(z_all, 2 * b, 3 * b))
-            loss = losses.adv_contrastive(triple, cfg.tau)
-            epoch_losses.append(_loss_guard(float(loss.data), epoch, batch_idx))
-            grads = _grad_by_name(tape, loss, leaves)
-            lr = cosine_lr(step, total_steps, cfg.lr0)
-            sgd_momentum_step(params, grads, opt_state, lr, cfg.momentum)
-            step += 1
-        expected = len(dataset)
-        if pgd_views != expected or cw_views != expected:
-            raise AssertionError(f"view accounting broke at epoch {epoch}: "
-                                 f"{pgd_views} pgd / {cw_views} cw for {expected} images")
-        log.records.append(EpochRecord(epoch, float(np.mean(epoch_losses)),
-                                       cosine_lr(step - 1, total_steps, cfg.lr0),
-                                       time.monotonic() - t0, pgd_views, cw_views))
+    def batch_loss(idx, leaves):
+        x_aug = data.augment_batch(dataset.images[idx], cfg.augment, aug_rng)
+        z_ref = models.project(params, models.encode(params, x_aug)).data
+        ctx = AttackContext(reference=z_ref, temperature=cfg.tau, rng=attack_rng)
+        x_pgd = attacks.pgd(params, x_aug, cfg.pgd_view, ctx)
+        x_cw = attacks.cw(params, x_aug, cfg.cw_view, ctx)
+        views[0] += len(x_pgd)
+        views[1] += len(x_cw)
+        emb = models.encode(params, np.concatenate([x_aug, x_pgd, x_cw]),
+                            train=True, lifted=leaves)
+        z_all = models.project(params, emb, lifted=leaves)
+        b = len(idx)
+        triple = losses.ViewTriple(*(T.slice_rows(z_all, i * b, (i + 1) * b)
+                                     for i in range(3)))
+        return losses.adv_contrastive(triple, cfg.tau)
+
+    log = TrainLog()
+    for record in _descend(params, ("encoder.", "proj."), len(dataset), cfg.batch_size,
+                           shuffle_seeds, batch_loss,
+                           *_momentum_on_cosine(cfg, len(dataset))):
+        if views != [len(dataset)] * 2:
+            raise AssertionError(f"view accounting broke at epoch {record.epoch}: "
+                                 f"{views[0]} pgd / {views[1]} cw for "
+                                 f"{len(dataset)} images")
+        record.pgd_views, record.cw_views = views
+        views[:] = [0, 0]
+        log.records.append(record)
+        done = record.epoch + 1
         if out_dir is not None and cfg.checkpoint_every and \
-                (epoch + 1) % cfg.checkpoint_every == 0 and epoch + 1 < cfg.epochs:
-            models.save_checkpoint(f"{out_dir}/pretrain-epoch{epoch + 1}.ckpt", params)
+                done % cfg.checkpoint_every == 0 and done < cfg.epochs:
+            models.save_checkpoint(f"{out_dir}/pretrain-epoch{done}.ckpt", params)
     if out_dir is not None:
         models.save_checkpoint(f"{out_dir}/pretrain-final.ckpt", params)
     return params, log
@@ -251,10 +266,9 @@ def finetune(dataset: Dataset, checkpoint, num_classes: int,
 
     The projection head is dropped from the forward path; the classifier is
     re-initialized from cfg.seed and attached directly to encoder output.
-    Frozen weights (and running statistics) are bitwise unchanged.
+    Only the classifier trains, so every other weight (and the running
+    statistics) is bitwise unchanged.
     """
-    if len(dataset) == 0:
-        raise data.DataError("finetune: empty dataset")
     params = checkpoint.copy() if isinstance(checkpoint, ModelParams) \
         else models.load_checkpoint(checkpoint)
     if num_classes != dataset.num_classes:
@@ -263,8 +277,6 @@ def finetune(dataset: Dataset, checkpoint, num_classes: int,
     if params.num_classes != num_classes:
         raise data.DataError(f"checkpoint classifier has {params.num_classes} "
                              f"classes, dataset has {num_classes}")
-    models.set_freeze(params, "encoder", True)
-    models.set_freeze(params, "projection", True)
     rng = np.random.default_rng(cfg.seed)
     emb_dim = params.spec.embedding_dim
     params.arrays["classifier.w"] = (
@@ -274,68 +286,35 @@ def finetune(dataset: Dataset, checkpoint, num_classes: int,
 
     # frozen eval-mode encoder => embeddings can be computed once up front
     emb_all = embed_dataset(params, dataset)
-    opt_state: dict = {}
     shuffle_seeds = rng.integers(0, 2 ** 31, size=cfg.epochs)
-    log = TrainLog()
-    n = len(dataset)
-    for epoch in range(cfg.epochs):
-        t0 = time.monotonic()
-        order = np.random.default_rng(int(shuffle_seeds[epoch])).permutation(n)
-        epoch_losses = []
-        for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
-            tape = T.Tape()
-            leaves = {"classifier.w": tape.leaf(params.arrays["classifier.w"],
-                                                requires_grad=True),
-                      "classifier.b": tape.leaf(params.arrays["classifier.b"],
-                                                requires_grad=True)}
-            logits = models.classify(params, emb_all[idx], lifted=leaves)
-            loss = losses.cross_entropy(logits, dataset.labels[idx])
-            epoch_losses.append(_loss_guard(float(loss.data), epoch, batch_idx))
-            grads = _grad_by_name(tape, loss, leaves)
-            adam_step(params, grads, opt_state, cfg.lr)
-        log.records.append(EpochRecord(epoch, float(np.mean(epoch_losses)),
-                                       cfg.lr, time.monotonic() - t0))
-    return params, log
+
+    def batch_loss(idx, leaves):
+        logits = models.classify(params, emb_all[idx], lifted=leaves)
+        return losses.cross_entropy(logits, dataset.labels[idx])
+
+    records = _descend(params, ("classifier.",), len(dataset), cfg.batch_size,
+                       shuffle_seeds, batch_loss, lambda step: cfg.lr, adam_step)
+    return params, TrainLog(list(records))
 
 
 def supervised_train(dataset: Dataset, spec: models.EncoderSpec,
                      cfg: SupervisedConfig, proj_dim: int = 128
                      ) -> tuple[ModelParams, TrainLog]:
     """Cross-entropy training of encoder + classifier (no adversarial views)."""
-    if len(dataset) == 0:
-        raise data.DataError("supervised_train: empty dataset")
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     aug_rng = np.random.default_rng(seeds[0])
     shuffle_seeds = np.random.default_rng(seeds[1]).integers(0, 2 ** 31, size=cfg.epochs)
     params = models.init_params(spec, dataset.num_classes, cfg.seed, proj_dim)
-    models.set_freeze(params, "projection", True)  # head unused by this loop
-    batches_per_epoch = math.ceil(len(dataset) / cfg.batch_size)
-    total_steps = cfg.epochs * batches_per_epoch
-    opt_state: dict[str, np.ndarray] = {}
-    log = TrainLog()
-    step = 0
-    for epoch in range(cfg.epochs):
-        t0 = time.monotonic()
-        epoch_losses = []
-        for batch_idx, batch in enumerate(
-                data.batch_iter(dataset, cfg.batch_size, int(shuffle_seeds[epoch]))):
-            x_aug = data.augment_batch(batch.images, cfg.augment, aug_rng)
-            tape = T.Tape()
-            leaves = models.lift_params(tape, params, trainable=True)
-            x = tape.leaf(x_aug)
-            emb = models.encode(params, x, train=True, lifted=leaves)
-            logits = models.classify(params, emb, lifted=leaves)
-            loss = losses.cross_entropy(logits, batch.labels)
-            epoch_losses.append(_loss_guard(float(loss.data), epoch, batch_idx))
-            grads = _grad_by_name(tape, loss, leaves)
-            lr = cosine_lr(step, total_steps, cfg.lr0)
-            sgd_momentum_step(params, grads, opt_state, lr, cfg.momentum)
-            step += 1
-        log.records.append(EpochRecord(epoch, float(np.mean(epoch_losses)),
-                                       cosine_lr(step - 1, total_steps, cfg.lr0),
-                                       time.monotonic() - t0))
-    return params, log
+
+    def batch_loss(idx, leaves):
+        x_aug = data.augment_batch(dataset.images[idx], cfg.augment, aug_rng)
+        emb = models.encode(params, x_aug, train=True, lifted=leaves)
+        logits = models.classify(params, emb, lifted=leaves)
+        return losses.cross_entropy(logits, dataset.labels[idx])
+
+    records = _descend(params, ("encoder.", "classifier."), len(dataset), cfg.batch_size,
+                       shuffle_seeds, batch_loss, *_momentum_on_cosine(cfg, len(dataset)))
+    return params, TrainLog(list(records))
 
 
 def embed_dataset(params: ModelParams, dataset: Dataset,

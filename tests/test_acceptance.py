@@ -10,6 +10,7 @@ re-runs seed 0 from scratch and demands bitwise-identical artifacts.
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,8 +68,8 @@ def run_pipeline(seed, tmpdir):
         "act_robust": report.cells[0].robust_accuracy,
         "base_robust": evaluation.robust_accuracy(baseline, test, EVAL_ATTACK,
                                                   seed=seed),
-        "pre_bytes": open(pre_path, "rb").read(),
-        "probe_bytes": open(probe_path, "rb").read(),
+        "pre_bytes": Path(pre_path).read_bytes(),
+        "probe_bytes": Path(probe_path).read_bytes(),
         "report": report,
     }
 

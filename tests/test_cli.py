@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,8 @@ BAD_INPUTS = {
     "zero-proj-dim": ("pretrain", [], ("proj_dim = 8", "proj_dim = 0"), "[model]"),
     "zero-image-size": ("pretrain", [], ("image_size = 16", "image_size = 0"), "[data]"),
     "crop-pad-beyond-image": ("pretrain", [], ("crop_pad = 1", "crop_pad = 20"), "[augment]"),
+    "negative-max-test": ("evaluate", [], ("batch_size = 64", "batch_size = 64\nmax_test = -30"),
+                          "[eval]"),
 }
 
 
@@ -158,14 +161,22 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, flags, edit
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["not-a-checkpoint", "truncated"])
+@pytest.mark.parametrize("damage", ["not-a-checkpoint", "truncated", "swapped-shape",
+                                    "missing-array"])
 def test_bad_checkpoint_is_data_error(cfg_file, tmp_path, capsys, damage):
     ckpt = tmp_path / "model.ckpt"
-    models.save_checkpoint(str(ckpt), models.init_params(
-        models.EncoderSpec("toy_conv", (4, 6, 8)), num_classes=4, seed=0, proj_dim=8))
+    params = models.init_params(
+        models.EncoderSpec("toy_conv", (4, 6, 8)), num_classes=4, seed=0, proj_dim=8)
+    if damage == "swapped-shape":       # a whole file whose arrays miss the spec
+        params.arrays["classifier.w"] = params.arrays["classifier.w"].T.copy()
+    elif damage == "missing-array":
+        del params.arrays["encoder.conv2.w"]
+    models.save_checkpoint(str(ckpt), params)
     blob = ckpt.read_bytes()
-    ckpt.write_bytes(b"[run]\nseed = 1\n" if damage == "not-a-checkpoint"
-                     else blob[:len(blob) // 2])
+    if damage == "not-a-checkpoint":
+        ckpt.write_bytes(b"[run]\nseed = 1\n")
+    elif damage == "truncated":
+        ckpt.write_bytes(blob[:len(blob) // 2])
     assert cli.main(["finetune", "--config", cfg_file, "--checkpoint", str(ckpt),
                      "--run-dir", str(tmp_path / "ft")]) == EXIT_DATA
     assert str(ckpt) in capsys.readouterr().err
@@ -256,12 +267,12 @@ def test_full_pipeline_and_null_attack_report(cfg_file, tmp_path, capsys):
     assert cli.main(["evaluate", "--config", cfg_file, "--checkpoint", model,
                      "--run-dir", ev_dir]) == EXIT_OK
     report_path = os.path.join(ev_dir, "report-model.json")
-    report = evaluation.EvalReport.from_json(open(report_path).read())
+    report = evaluation.EvalReport.from_json(Path(report_path).read_text())
     # epsilon 0 cells must equal clean accuracy exactly
     for cell in report.cells:
         if cell.epsilon == 0.0:
             assert cell.robust_accuracy == report.clean_accuracy
-    csv_lines = open(os.path.join(ev_dir, "report.csv")).read().strip().splitlines()
+    csv_lines = Path(ev_dir, "report.csv").read_text().strip().splitlines()
     assert len(csv_lines) - 1 == len(report.cells)
 
     capsys.readouterr()
@@ -275,7 +286,7 @@ def test_identical_config_and_seed_reproduce_artifacts(cfg_file, tmp_path):
         pre_dir = str(tmp_path / f"pre-{tag}")
         assert cli.main(["pretrain", "--config", cfg_file,
                          "--run-dir", pre_dir]) == EXIT_OK
-        runs.append(open(os.path.join(pre_dir, "pretrain-final.ckpt"), "rb").read())
+        runs.append(Path(pre_dir, "pretrain-final.ckpt").read_bytes())
     assert runs[0] == runs[1]
 
 
@@ -283,12 +294,12 @@ def test_flag_overrides_epochs(cfg_file, tmp_path):
     pre_dir = str(tmp_path / "pre1")
     assert cli.main(["pretrain", "--config", cfg_file, "--pretrain-epochs", "1",
                      "--run-dir", pre_dir]) == EXIT_OK
-    log = open(os.path.join(pre_dir, "pretrain-log.jsonl")).read()
+    log = Path(pre_dir, "pretrain-log.jsonl").read_text()
     assert len(log.strip().splitlines()) == 1
 
 
 def test_commands_do_not_mutate_config(cfg_file, tmp_path):
-    before = open(cfg_file).read()
+    before = Path(cfg_file).read_text()
     cli.main(["pretrain", "--config", cfg_file,
               "--run-dir", str(tmp_path / "x")])
-    assert open(cfg_file).read() == before
+    assert Path(cfg_file).read_text() == before

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from advclr.data import (AugmentPolicy, Batch, DataError, augment_batch, batch_iter,
+from advclr.data import (AugmentPolicy, DataError, augment_batch, batch_iter,
                          load_cifar10, make_synthetic)
 
 RECORD = 3073
@@ -180,12 +180,11 @@ class TestAugment:
         # leaves the batch (and so the image-label pairing) untouched
         rng = np.random.default_rng(seed)
         images = rng.random((1, 3, 8, 8)).astype(np.float32)
-        batch = Batch(images, np.array([3]))
+        labels = np.array([3])
         before = images.copy()
-        out = augment_batch(batch.images, AugmentPolicy(crop_pad=pad, hflip_prob=flip_p),
-                            rng)
-        assert batch.labels.tolist() == [3]
-        assert np.array_equal(batch.images, before)
+        out = augment_batch(images, AugmentPolicy(crop_pad=pad, hflip_prob=flip_p), rng)
+        assert labels.tolist() == [3]
+        assert np.array_equal(images, before)
         assert out.shape == (1, 3, 8, 8)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -197,24 +196,24 @@ class TestAugment:
 class TestBatchIter:
     def test_partial_last_batch(self):
         ds = make_synthetic(2, 5, 8, seed=0)   # 10 images
-        sizes = [len(b) for b in batch_iter(ds, 3)]
+        sizes = [len(idx) for idx in batch_iter(len(ds), 3)]
         assert sizes == [3, 3, 3, 1]
 
     def test_same_seed_same_order(self):
         ds = make_synthetic(2, 10, 8, seed=0)
-        a = [b.labels.tolist() for b in batch_iter(ds, 4, shuffle_seed=9)]
-        b = [b.labels.tolist() for b in batch_iter(ds, 4, shuffle_seed=9)]
+        a = [ds.labels[idx].tolist() for idx in batch_iter(len(ds), 4, shuffle_seed=9)]
+        b = [ds.labels[idx].tolist() for idx in batch_iter(len(ds), 4, shuffle_seed=9)]
         assert a == b
 
     def test_no_seed_preserves_order(self):
         ds = make_synthetic(2, 4, 8, seed=0)
-        flat = np.concatenate([b.labels for b in batch_iter(ds, 3)])
+        flat = np.concatenate([ds.labels[idx] for idx in batch_iter(len(ds), 3)])
         np.testing.assert_array_equal(flat, ds.labels)
 
     def test_empty_dataset_rejected(self):
         empty = make_synthetic(2, 0, 8, seed=0)
         with pytest.raises(DataError):
-            next(batch_iter(empty, 2))
+            next(batch_iter(len(empty), 2))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 13), st.one_of(st.none(), st.integers(0, 1000)))
@@ -222,9 +221,9 @@ class TestBatchIter:
         ds = make_synthetic(3, 4, 8, seed=1)   # 12 images
         seen_pixels = []
         seen_labels = []
-        for batch in batch_iter(ds, batch_size, shuffle_seed=seed):
-            seen_pixels.append(batch.images)
-            seen_labels.append(batch.labels)
+        for idx in batch_iter(len(ds), batch_size, shuffle_seed=seed):
+            seen_pixels.append(ds.images[idx])
+            seen_labels.append(ds.labels[idx])
         images = np.concatenate(seen_pixels)
         labels = np.concatenate(seen_labels)
         assert len(images) == len(ds)

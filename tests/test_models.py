@@ -1,15 +1,16 @@
-"""Encoder/head contracts, freezing, and the checkpoint container."""
+"""Encoder/head contracts and the checkpoint container."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from advclr import losses, models, tensor as T, training
+from advclr import models, tensor as T
 from advclr.data import DataError
 from advclr.models import EncoderSpec
-from advclr.tensor import NumericError, constant
+from advclr.tensor import NumericError
 
 
 def rand_images(rng, n, size=8):
@@ -159,65 +160,15 @@ class TestClassify:
         assert np.all(np.abs(freq - 0.1) <= 0.1)
 
 
-class TestFreeze:
-    def test_frozen_encoder_survives_steps(self):
-        params = models.init_params(EncoderSpec("toy_conv", (3, 4, 5)), 4, seed=0)
-        models.set_freeze(params, "encoder", True)
-        before = {k: v.copy() for k, v in params.arrays.items()}
-        rng = np.random.default_rng(0)
-        grads = {k: rng.normal(size=v.shape).astype(np.float32)
-                 for k, v in params.arrays.items()}
-        state = {}
-        for _ in range(100):
-            training.sgd_momentum_step(params, grads, state, lr=0.1, momentum=0.9)
-        for k in params.arrays:
-            if k.startswith("encoder."):
-                assert np.array_equal(params.arrays[k], before[k]), k
-            else:
-                assert not np.array_equal(params.arrays[k], before[k]), k
-
-    def test_unfreeze_restores_trainability(self):
-        params = models.init_params(EncoderSpec("toy_conv", (3, 4, 5)), 4, seed=0)
-        models.set_freeze(params, "encoder", True)
-        models.set_freeze(params, "encoder", False)
-        assert params.frozen == set()
-
-    def test_freeze_all_keeps_loss_constant(self):
-        params = models.init_params(EncoderSpec("toy_conv", (3, 4, 5)), 4, seed=1)
-        for scope in ("encoder", "projection", "classifier"):
-            models.set_freeze(params, scope, True)
-        rng = np.random.default_rng(1)
-        x = rand_images(rng, 8)
-        y = rng.integers(0, 4, size=8)
-        state = {}
-        vals = []
-        for _ in range(3):
-            tape = T.Tape()
-            lifted = models.lift_params(tape, params, trainable=True)
-            logits = models.classify(params, models.encode(params, constant(x),
-                                                           lifted=lifted),
-                                     lifted=lifted)
-            loss = losses.cross_entropy(logits, y)
-            vals.append(loss.item())
-            grads = {name: tape.backward(loss).get(t.handle)
-                     for name, t in lifted.items() if t.requires_grad}
-            training.sgd_momentum_step(params, {k: v for k, v in grads.items()
-                                                if v is not None},
-                                       state, lr=0.5, momentum=0.9)
-        assert vals[0] == vals[1] == vals[2]
-
-
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         spec = EncoderSpec("resnet_small", (4, 6), blocks_per_stage=1)
         params = models.init_params(spec, 3, seed=7, proj_dim=12)
-        models.set_freeze(params, "encoder", True)
         path = str(tmp_path / "model.ckpt")
         models.save_checkpoint(path, params, meta={"note": "test"})
         loaded = models.load_checkpoint(path)
         assert loaded.spec == params.spec
         assert loaded.num_classes == 3 and loaded.proj_dim == 12
-        assert loaded.frozen == params.frozen
         for k in params.arrays:
             assert np.array_equal(loaded.arrays[k], params.arrays[k]), k
         for k in params.buffers:
@@ -229,11 +180,11 @@ class TestCheckpoint:
         params = models.init_params(spec, 2, seed=0, proj_dim=4)
         path = str(tmp_path / "model.ckpt")
         models.save_checkpoint(path, params)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert blob[:8] == b"ADVCLRC1"
         header_len = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
         header = json.loads(blob[12:12 + header_len].decode("utf-8"))
-        assert header["format_version"] == 1
+        assert header["format_version"] == 2
         offset = 12 + header_len
         first = header["arrays"][0]
         count = int(np.prod(first["shape"]))
@@ -272,10 +223,13 @@ class TestCheckpoint:
             models.load_checkpoint(str(cut))
 
     @pytest.mark.parametrize("edit", [
-        (b'"format_version": 1', b'"format_version": 9'),
-        (b'"format_version": 1', b'"format_version"= 1'),
+        (b'"format_version": 2', b'"format_version": 9'),
+        (b'"format_version": 2', b'"format_version": 1'),
+        (b'"format_version": 2', b'"format_version"= 2'),
         (b'"arrays": [', b'"arrayz": ['),
-    ], ids=["unknown-version", "bad-json", "missing-key"])
+        (b'"num_classes": 2', b'"num_classes": 9'),
+    ], ids=["unknown-version", "previous-version", "bad-json", "missing-key",
+            "head-size-unlike-arrays"])
     def test_bad_header_is_data_error(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         models.save_checkpoint(str(path), models.init_params(
@@ -302,4 +256,4 @@ class TestCheckpoint:
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         models.save_checkpoint(p1, params)
         models.save_checkpoint(p2, params)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()

@@ -85,13 +85,6 @@ class TestAdam:
                       lr=0.1)
         np.testing.assert_array_equal(params.arrays["classifier.w"], before)
 
-    def test_frozen_untouched(self):
-        params = tiny_params()
-        models.set_freeze(params, "classifier", True)
-        before = params.arrays["classifier.b"].copy()
-        adam_step(params, {"classifier.b": np.ones(4, np.float32)}, {}, lr=0.1)
-        np.testing.assert_array_equal(params.arrays["classifier.b"], before)
-
 
 def small_dataset(n_per_class=8, seed=0):
     return data.make_synthetic(4, n_per_class, 8, seed=seed)
@@ -142,6 +135,15 @@ class TestActPretrain:
         empty = data.make_synthetic(4, 0, 8, seed=0)
         with pytest.raises(data.DataError):
             training.act_pretrain(empty, SPEC, fast_pretrain_cfg(1))
+
+    def test_classifier_left_at_init(self):
+        # the loop trains only encoder.* and proj.*; the classifier is unused
+        params, _ = training.act_pretrain(small_dataset(), SPEC, fast_pretrain_cfg(2),
+                                          proj_dim=8)
+        init = tiny_params()
+        for k in ("classifier.w", "classifier.b"):
+            assert np.array_equal(params.arrays[k], init.arrays[k]), k
+        assert not np.array_equal(params.arrays["proj.fc1.w"], init.arrays["proj.fc1.w"])
 
     def test_checkpoint_files_written(self, tmp_path):
         ds = small_dataset()
@@ -219,6 +221,17 @@ class TestSupervised:
         b, _ = training.supervised_train(ds, SPEC, cfg, proj_dim=8)
         for k in a.arrays:
             assert np.array_equal(a.arrays[k], b.arrays[k]), k
+
+    def test_projection_left_at_init(self):
+        # the loop trains only encoder.* and classifier.*; the head is unused
+        ds = data.make_synthetic(4, 8, 8, seed=3)
+        cfg = SupervisedConfig(epochs=2, batch_size=16, lr0=0.05, seed=0)
+        params, _ = training.supervised_train(ds, SPEC, cfg, proj_dim=8)
+        init = tiny_params()
+        for k in ("proj.fc1.w", "proj.fc2.w"):
+            assert np.array_equal(params.arrays[k], init.arrays[k]), k
+        assert not np.array_equal(params.arrays["classifier.w"],
+                                  init.arrays["classifier.w"])
 
 
 class TestTrainLog:
