@@ -163,10 +163,14 @@ def _cmd_evaluate(args, cfg: RunConfig) -> int:
         from .data import Dataset
         test = Dataset(test.images[:max_test], test.labels[:max_test],
                        test.class_names, split=test.split)
-    model_list = []
-    for path in args.checkpoint:
-        name = os.path.splitext(os.path.basename(path))[0]
-        model_list.append((name, models.load_checkpoint(path)))
+    stems = [os.path.splitext(os.path.basename(path))[0] for path in args.checkpoint]
+    # a stem given twice takes its directory's name as a prefix: ft-model, base-model
+    ids = [f"{os.path.basename(os.path.dirname(os.path.abspath(path)))}-{stem}"
+           if stems.count(stem) > 1 else stem for path, stem in zip(args.checkpoint, stems)]
+    if len(set(ids)) < len(ids):
+        raise ConfigError(f"--checkpoint: two checkpoints share a report id in {ids}")
+    model_list = [(model_id, models.load_checkpoint(path))
+                  for model_id, path in zip(ids, args.checkpoint)]
     attack_list = cfgmod.build_attacks(cfg)
     reports = evaluation.eval_table(model_list, attack_list, test,
                                     seed=cfg.get("run", "seed"),

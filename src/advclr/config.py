@@ -78,8 +78,8 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
                 "random_start": ("bool", True), "kappa": ("float", 0.0)},
     "eval": {"batch_size": ("int", 256), "max_test": ("int", 0)},
 }
-# lower bounds of integer keys, whichever command reads them
-MINIMUMS = {("data", "image_size"): 1, ("model", "proj_dim"): 1,
+# lower bounds of numeric keys, whichever command reads them
+MINIMUMS = {("data", "image_size"): 1, ("data", "noise"): 0, ("model", "proj_dim"): 1,
             ("eval", "batch_size"): 1, ("eval", "max_test"): 0}
 
 

@@ -60,7 +60,7 @@ def info_nce_terms(batch: ContrastiveBatch) -> Tensor:
     """Per-anchor one-positive-vs-pool softmax loss, shape (B,).
 
     For each anchor: -log( e^(pos/t) / (e^(pos/t) + sum_j e^(neg_j/t)) ),
-    computed with the usual max-shift for stability.
+    the cross-entropy of the logits [positive | masked negatives] at 0.
     """
     if batch.temperature <= 0:
         raise ValueError(f"info_nce: temperature must be positive, got {batch.temperature}")
@@ -79,10 +79,7 @@ def info_nce_terms(batch: ContrastiveBatch) -> Tensor:
     s_neg = T.matmul(anchors, T.transpose(pool)) * inv_t                   # (B, P)
     mask = np.where(exclude, MASK_VALUE, 0.0).astype(anchors.data.dtype)
     logits = T.concat([s_pos, T.add(s_neg, T.constant(mask))], axis=1)
-    logp = T.log_softmax(logits)
-    picker = np.zeros((b, p + 1), dtype=anchors.data.dtype)
-    picker[:, 0] = 1.0
-    return T.neg(T.mul(logp, T.constant(picker)).sum(axis=1))
+    return cross_entropy_terms(logits, np.zeros(b, dtype=int))   # class 0: the positive
 
 
 def info_nce(batch: ContrastiveBatch) -> Tensor:

@@ -147,29 +147,14 @@ def init_params(spec: EncoderSpec, num_classes: int, seed: int,
 
 def _norm_forward(pt: dict, params: ModelParams, name: str, x: Tensor,
                   train: bool) -> Tensor:
-    scale, shift = pt[f"{name}.scale"], pt[f"{name}.shift"]
-    dtype = x.data.dtype
+    stats = None if train else (params.buffers[f"{name}.mean"], params.buffers[f"{name}.var"])
+    out, mean, var = T.channel_norm(x, pt[f"{name}.scale"], pt[f"{name}.shift"],
+                                    stats, _NORM_EPS)
     if train:
-        axes = (0, 2, 3) if x.ndim == 4 else (0,)
-        mu = x.mean(axis=axes)
-        ones = T.constant(np.ones(mu.shape, dtype=dtype))
-        centered = T.batch_affine(x, ones, T.neg(mu))
-        var = T.mul(centered, centered).mean(axis=axes)
-        inv = T.rsqrt(T.add(var, _NORM_EPS))
-        out = T.batch_affine(centered, T.mul(scale, inv), shift)
         m = _NORM_MOMENTUM
-        params.buffers[f"{name}.mean"] = (
-            (1 - m) * params.buffers[f"{name}.mean"]
-            + m * mu.data.astype(np.float32))
-        params.buffers[f"{name}.var"] = (
-            (1 - m) * params.buffers[f"{name}.var"]
-            + m * var.data.astype(np.float32))
-        return out
-    inv = (1.0 / np.sqrt(params.buffers[f"{name}.var"] + _NORM_EPS)).astype(dtype)
-    mean = params.buffers[f"{name}.mean"].astype(dtype)
-    eff_scale = T.mul(scale, T.constant(inv))
-    eff_shift = T.sub(shift, T.mul(eff_scale, T.constant(mean)))
-    return T.batch_affine(x, eff_scale, eff_shift)
+        for key, stat in ((f"{name}.mean", mean), (f"{name}.var", var)):
+            params.buffers[key] = (1 - m) * params.buffers[key] + m * stat.astype(np.float32)
+    return out
 
 
 def _conv_block(pt, params, conv_name, norm_name, x, stride, train):
@@ -325,6 +310,11 @@ def load_checkpoint(path: str) -> ModelParams:
         if header["format_version"] != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported format version "
                             f"{header['format_version']}")
+        for value in (header["num_classes"], header["proj_dim"], header["seed"],
+                      header["encoder"].get("blocks_per_stage", 1),
+                      *header["encoder"]["widths"]):
+            if type(value) is not int:      # not a float, not a bool
+                raise DataError(f"{path}: header sizes must be integers, got {value!r}")
         shapes = [tuple(int(n) for n in entry["shape"]) for entry in header["arrays"]]
         size = offset + 4 * sum(int(np.prod(shape)) for shape in shapes)
         if len(payload) != size:
@@ -353,5 +343,5 @@ def load_checkpoint(path: str) -> ModelParams:
         return params
     except DataError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from exc

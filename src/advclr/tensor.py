@@ -258,14 +258,6 @@ def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
     return _result("leaky_relu", a.data * factor, [(a, lambda g: g * factor)])
 
 
-def rsqrt(a: Tensor) -> Tensor:
-    """Elementwise x**-0.5; input must be strictly positive."""
-    if np.any(a.data <= 0):
-        raise NumericError("rsqrt: input must be strictly positive")
-    out = 1.0 / np.sqrt(a.data)
-    return _result("rsqrt", out, [(a, lambda g: g * (-0.5) * out ** 3)])
-
-
 def _reduce_axes(shape: tuple, axis) -> tuple:
     if axis is None:
         return tuple(range(len(shape)))
@@ -439,40 +431,48 @@ def global_avg_pool(x: Tensor) -> Tensor:
                                                   (batch, ch, h, w)))])
 
 
-def _channel_view(op: str, x: Tensor, v: Tensor) -> tuple:
-    if v.ndim != 1:
-        raise ShapeError(f"{op}: per-channel vector must be 1-d, got {v.shape}")
-    if x.ndim == 4:
-        if v.shape[0] != x.shape[1]:
-            raise ShapeError(f"{op}: {v.shape[0]} channels for input {x.shape}")
-        return (1, v.shape[0], 1, 1), (0, 2, 3)
-    if x.ndim == 2:
-        if v.shape[0] != x.shape[1]:
-            raise ShapeError(f"{op}: {v.shape[0]} features for input {x.shape}")
-        return (1, v.shape[0]), (0,)
-    raise ShapeError(f"{op}: expected 2-d or 4-d input, got {x.shape}")
-
-
-def batch_affine(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-    """Per-channel (4-d input) or per-feature (2-d input) scale and shift."""
-    _check_dtypes("batch_affine", (x, scale, shift))
-    view, axes = _channel_view("batch_affine", x, scale)
-    _channel_view("batch_affine", x, shift)
-    sd = scale.data.reshape(view)
-    out = x.data * sd + shift.data.reshape(view)
-    xd = x.data
-    return _result("batch_affine", out,
-                   [(x, lambda g: g * sd),
-                    (scale, lambda g: (g * xd).sum(axis=axes)),
-                    (shift, lambda g: g.sum(axis=axes))])
+def channel_norm(x: Tensor, scale: Tensor, shift: Tensor, stats=None,
+                 eps: float = 1e-5) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Per-channel norm of a (B, C, H, W) input: ``x * eff + (shift - eff * mean)``
+    with ``eff = scale / sqrt(var + eps)``. ``stats=None`` takes each channel's
+    batch mean and biased variance, and the gradient flows through them (Ioffe
+    & Szegedy, 2015); else ``stats`` is a constant pair. Returns (out, mean, var).
+    """
+    _check_dtypes("channel_norm", (x, scale, shift))
+    if x.ndim != 4 or scale.shape != (x.shape[1],) or shift.shape != scale.shape:
+        raise ShapeError(f"channel_norm: scale {scale.shape} and shift {shift.shape} "
+                         f"for input {x.shape}")
+    xd, view, axes = x.data, (1, x.shape[1], 1, 1), (0, 2, 3)
+    if stats is None:
+        mean = xd.mean(axis=axes)
+        centered = xd - mean.reshape(view)
+        var = (centered * centered).mean(axis=axes)
+    else:
+        mean, var = stats
+    inv = (1.0 / np.sqrt(var + eps)).astype(xd.dtype).reshape(view)
+    eff = scale.data.reshape(view) * inv
+    mean_x = mean.astype(xd.dtype).reshape(view)
+    out = xd * eff + (shift.data.reshape(view) - eff * mean_x)
+    # the training pulls hold xhat, not x: a tape keeps no conv output alive
+    if stats is None:
+        xhat = centered * inv
+        pulls = [(x, lambda g: (g - g.mean(axis=axes, keepdims=True)
+                                - xhat * (g * xhat).mean(axis=axes, keepdims=True)) * eff),
+                 (scale, lambda g: (g * xhat).sum(axis=axes))]
+    else:
+        pulls = [(x, lambda g: g * eff),
+                 (scale, lambda g: (g * (xd - mean_x) * inv).sum(axis=axes))]
+    pulls.append((shift, lambda g: g.sum(axis=axes)))
+    return _result("channel_norm", out, pulls), mean, var
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Add a per-channel / per-feature bias vector."""
+    """Add a per-feature bias vector to a (batch, features) input."""
     _check_dtypes("bias_add", (x, b))
-    view, axes = _channel_view("bias_add", x, b)
-    return _result("bias_add", x.data + b.data.reshape(view),
-                   [(x, lambda g: g), (b, lambda g: g.sum(axis=axes))])
+    if x.ndim != 2 or b.shape != (x.shape[1],):
+        raise ShapeError(f"bias_add: bias {b.shape} for input {x.shape}")
+    return _result("bias_add", x.data + b.data,
+                   [(x, lambda g: g), (b, lambda g: g.sum(axis=0))])
 
 
 def log_softmax(x: Tensor) -> Tensor:

@@ -57,6 +57,8 @@ class PretrainConfig:
             raise ValueError(f"lr0 must be positive, got {self.lr0}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
 
 
 @dataclass
@@ -71,6 +73,8 @@ class FinetuneConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.lr > 0:     # NaN too
+            raise ValueError(f"lr must be positive, got {self.lr}")
 
 
 @dataclass

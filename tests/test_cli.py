@@ -137,6 +137,13 @@ BAD_INPUTS = {
     "crop-pad-beyond-image": ("pretrain", [], ("crop_pad = 1", "crop_pad = 20"), "[augment]"),
     "negative-max-test": ("evaluate", [], ("batch_size = 64", "batch_size = 64\nmax_test = -30"),
                           "[eval]"),
+    "negative-finetune-lr": ("finetune", [], ("lr = 0.01", "lr = -1"), "[finetune]"),
+    "nan-finetune-lr": ("finetune", [], ("lr = 0.01", "lr = nan"), "[finetune]"),
+    "negative-checkpoint-every": ("pretrain", [], ("view_steps = 2",
+                                                   "view_steps = 2\ncheckpoint_every = -1"),
+                                  "[pretrain]"),
+    "negative-noise": ("pretrain", [], ("image_size = 16", "image_size = 16\nnoise = -1"),
+                       "[data]"),
 }
 
 
@@ -182,13 +189,35 @@ def test_bad_checkpoint_is_data_error(cfg_file, tmp_path, capsys, damage):
     assert str(ckpt) in capsys.readouterr().err
 
 
-def test_checkpoint_class_mismatch_is_data_error(cfg_file, tmp_path):
+@pytest.mark.parametrize("command", ["finetune", "evaluate"])
+def test_checkpoint_class_mismatch_is_data_error(cfg_file, tmp_path, capsys, command):
     # TINY_CFG has 4 classes; the checkpoint's classifier has 5
     ckpt = str(tmp_path / "five.ckpt")
     models.save_checkpoint(ckpt, models.init_params(
         models.EncoderSpec("toy_conv", (4, 6, 8)), num_classes=5, seed=0, proj_dim=8))
-    assert cli.main(["finetune", "--config", cfg_file, "--checkpoint", ckpt,
-                     "--run-dir", str(tmp_path / "ft")]) == EXIT_DATA
+    assert cli.main([command, "--config", cfg_file, "--checkpoint", ckpt,
+                     "--run-dir", str(tmp_path / "out")]) == EXIT_DATA
+    assert "5 classes" in capsys.readouterr().err
+
+
+def test_shared_checkpoint_stems_get_distinct_report_ids(cfg_file, tmp_path):
+    paths = []
+    for seed, tag in enumerate(("ft", "base")):
+        (tmp_path / tag).mkdir()
+        paths.append(str(tmp_path / tag / "model.ckpt"))
+        models.save_checkpoint(paths[-1], models.init_params(
+            models.EncoderSpec("toy_conv", (4, 6, 8)), num_classes=4, seed=seed,
+            proj_dim=8))
+    ev_dir = tmp_path / "ev"
+    argv = ["evaluate", "--config", cfg_file, "--epsilons", "0.03",
+            "--run-dir", str(ev_dir)]
+    assert cli.main([*argv, "--checkpoint", paths[0], "--checkpoint", paths[1]]) == EXIT_OK
+    assert sorted(os.listdir(ev_dir)) == ["report-base-model.json", "report-ft-model.json",
+                                          "report.csv"]
+    rows = (ev_dir / "report.csv").read_text().strip().splitlines()[1:]
+    assert sorted(row.split(",")[0] for row in rows) == ["base-model"] * 2 + ["ft-model"] * 2
+    # the same file twice would still write one report over the other
+    assert cli.main([*argv, "--checkpoint", paths[0], "--checkpoint", paths[0]]) == EXIT_CONFIG
 
 
 COLLAPSING_CFG = """

@@ -46,7 +46,7 @@ class TestCleanAccuracy:
 
     def test_class_count_mismatch_rejected(self):
         ds = data.make_synthetic(4, 5, 8, seed=0)
-        with pytest.raises(ValueError, match="classes"):
+        with pytest.raises(DataError, match="classes"):
             evaluation.clean_accuracy(rigged_constant_model(0, num_classes=10), ds)
 
 

@@ -228,15 +228,22 @@ class TestCheckpoint:
         (b'"format_version": 2', b'"format_version"= 2'),
         (b'"arrays": [', b'"arrayz": ['),
         (b'"num_classes": 2', b'"num_classes": 9'),
+        (b'"num_classes": 2', b'"num_classes": 2.0'),
+        (b'"proj_dim": 1', b'"proj_dim": true'),
+        (b'"widths": [3, 4, 5]', b'"widths": [3, 4.5, 5]'),
     ], ids=["unknown-version", "previous-version", "bad-json", "missing-key",
-            "head-size-unlike-arrays"])
+            "head-size-unlike-arrays", "float-head-size", "bool-head-size",
+            "float-width"])
     def test_bad_header_is_data_error(self, tmp_path, edit):
+        # proj_dim 1, so a header's `true` matches the arrays' shapes
         path = tmp_path / "model.ckpt"
         models.save_checkpoint(str(path), models.init_params(
-            EncoderSpec("toy_conv", (3, 4, 5)), 2, seed=0, proj_dim=4))
+            EncoderSpec("toy_conv", (3, 4, 5)), 2, seed=0, proj_dim=1))
         blob = path.read_bytes()
-        assert edit[0] in blob
-        path.write_bytes(blob.replace(*edit))
+        end = 12 + int.from_bytes(blob[8:12], "little")
+        assert edit[0] in blob[12:end]
+        header = blob[12:end].replace(*edit)     # a well-formed file around it
+        path.write_bytes(blob[:8] + len(header).to_bytes(4, "little") + header + blob[end:])
         with pytest.raises(DataError):
             models.load_checkpoint(str(path))
 

@@ -1,6 +1,7 @@
 """Autodiff core: forward values, backward vs finite differences, contracts."""
 
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -211,7 +212,6 @@ OP_CASES = [
     ("transpose", lambda t, c: T.matmul(T.transpose(t), c[0]), [(3, 4), (3, 2)]),
     ("relu", lambda t, c: T.relu(t), [(4, 4)]),
     ("leaky_relu", lambda t, c: T.leaky_relu(t, 0.2), [(4, 4)]),
-    ("rsqrt", lambda t, c: T.rsqrt(T.add(T.mul(t, t), 0.5)), [(3, 3)]),
     ("sum_all", lambda t, c: T.tsum(t), [(2, 3, 4)]),
     ("sum_axis", lambda t, c: T.tsum(t, axis=(0, 2)), [(2, 3, 4)]),
     ("mean_keepdims", lambda t, c: T.tmean(t, axis=1, keepdims=True), [(3, 5)]),
@@ -228,12 +228,21 @@ OP_CASES = [
      [(2, 3, 4, 4), (4, 3, 3, 3)]),
     ("max_pool2", lambda t, c: T.max_pool2(t), [(2, 3, 4, 4)]),
     ("global_avg_pool", lambda t, c: T.global_avg_pool(t), [(2, 3, 4, 4)]),
-    ("batch_affine_4d", lambda t, c: T.batch_affine(t, c[0], c[1]),
-     [(2, 3, 4, 4), (3,), (3,)]),
-    ("batch_affine_scale", lambda t, c: T.batch_affine(c[0], t, c[1]),
-     [(3,), (2, 3, 4, 4), (3,)]),
-    ("batch_affine_2d", lambda t, c: T.batch_affine(t, c[0], c[1]),
-     [(5, 4), (4,), (4,)]),
+    # batch statistics; the last constant weights the outputs unevenly, since
+    # a plain sum of squares of a standardized channel barely depends on x
+    ("channel_norm_batch_x", lambda t, c: T.mul(T.channel_norm(t, c[0], c[1])[0], c[2]),
+     [(3, 2, 3, 3), (2,), (2,), (3, 2, 3, 3)]),
+    ("channel_norm_batch_scale", lambda t, c: T.mul(T.channel_norm(c[0], t, c[1])[0], c[2]),
+     [(2,), (3, 2, 3, 3), (2,), (3, 2, 3, 3)]),
+    ("channel_norm_batch_shift", lambda t, c: T.mul(T.channel_norm(c[0], c[1], t)[0], c[2]),
+     [(2,), (3, 2, 3, 3), (2,), (3, 2, 3, 3)]),
+    # constant running statistics (mean, var > 0)
+    ("channel_norm_running_x",
+     lambda t, c: T.channel_norm(t, c[0], c[1], (c[2].data, c[3].data ** 2 + 0.5))[0],
+     [(2, 3, 4, 4), (3,), (3,), (3,), (3,)]),
+    ("channel_norm_running_scale",
+     lambda t, c: T.channel_norm(c[0], t, c[1], (c[2].data, c[3].data ** 2 + 0.5))[0],
+     [(3,), (2, 3, 4, 4), (3,), (3,), (3,)]),
     ("bias_add", lambda t, c: T.bias_add(c[0], t), [(4,), (3, 4)]),
     ("log_softmax", lambda t, c: T.log_softmax(t), [(4, 6)]),
     ("l2_normalize", lambda t, c: T.l2_normalize(T.add(t, 2.0)), [(3, 5)]),
@@ -257,3 +266,21 @@ def test_op_backward_matches_finite_differences(name, build, shapes, seed):
         return T.mul(T.mul(out, out).sum(), weight)
 
     assert T.grad_check(fn, point) <= 1e-4, name
+
+
+def test_every_op_has_a_finite_difference_case(monkeypatch):
+    public = [name for name, fn in vars(T).items()
+              if inspect.isfunction(fn) and fn.__module__ == T.__name__
+              and not name.startswith("_") and name not in ("constant", "grad_check")]
+    called = set()
+    for name in public:
+        def spy(*args, _name=name, _fn=getattr(T, name), **kwargs):
+            called.add(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(T, name, spy)
+    rng = np.random.default_rng(0)
+    for _, build, shapes in OP_CASES:
+        build(constant(_away_from_kinks(rng, shapes[0])),
+              [constant(_away_from_kinks(rng, s)) for s in shapes[1:]])
+    assert sorted(set(public) - called) == []
