@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import losses, models, tensor as T
+from .data import check_range
 from .losses import ContrastiveBatch
 from .tensor import NumericError, Tensor
 
@@ -61,18 +62,17 @@ class AttackConfig:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
+        check_range("epsilon", self.epsilon, 0)
+        check_range("num_steps", self.num_steps, 1)
+        check_range("kappa", self.kappa, 0)
         if self.objective is not None and self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.kind == "fgsm":     # one step of size epsilon from the clean input
             for name, value in (("step_size", self.epsilon), ("num_steps", 1),
                                 ("random_start", False)):
                 object.__setattr__(self, name, value)
-        elif self.step_size is not None and self.step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        elif self.step_size is not None:
+            check_range("step_size", self.step_size, 0, low_open=True)
 
     @property
     def step(self) -> float:

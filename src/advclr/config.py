@@ -12,11 +12,12 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
 from .attacks import AttackConfig
-from .data import AugmentPolicy, Dataset, load_cifar10, make_synthetic
+from .data import AugmentPolicy, Dataset, check_range, load_cifar10, make_synthetic
 from .models import EncoderSpec
 from .training import (PretrainConfig, FinetuneConfig, SupervisedConfig,
                        default_view_attacks)
@@ -62,8 +63,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
              "noise": ("float", 0.08), "signal": ("float", 0.12)},
     "model": {"kind": ("str", "toy_conv"), "widths": ("ints", [8, 16, 32]),
               "blocks_per_stage": ("int", 1), "proj_dim": ("int", 128)},
-    "augment": {"enabled": ("bool", True), "crop_pad": ("int", 2),
-                "hflip_prob": ("float", 0.5)},
+    "augment": {"crop_pad": ("int", 2), "hflip_prob": ("float", 0.5)},
     "pretrain": {"epochs": ("int", None), "batch_size": ("int", 128),
                  "lr0": ("float", 0.1), "momentum": ("float", 0.9),
                  "tau": ("float", 0.1), "view_epsilon": ("float", 0.03),
@@ -78,8 +78,9 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
                 "random_start": ("bool", True), "kappa": ("float", 0.0)},
     "eval": {"batch_size": ("int", 256), "max_test": ("int", 0)},
 }
-# lower bounds of numeric keys, whichever command reads them
-MINIMUMS = {("data", "image_size"): 1, ("data", "noise"): 0, ("model", "proj_dim"): 1,
+# lower bounds of numeric keys, whichever command reads them; all must be finite
+MINIMUMS = {("run", "seed"): 0, ("data", "image_size"): 1, ("data", "noise"): 0,
+            ("data", "signal"): -math.inf, ("model", "proj_dim"): 1,
             ("eval", "batch_size"): 1, ("eval", "max_test"): 0}
 
 
@@ -165,9 +166,8 @@ def parse_config(path: str | None = None,
         if value is not None:
             cfg.values[section][key] = value
     for (section, key), least in MINIMUMS.items():
-        if cfg.values[section][key] < least:
-            raise ConfigError(f"[{section}] {key} must be >= {least}, "
-                              f"got {cfg.values[section][key]}")
+        _checked(section, check_range, name=key, value=cfg.values[section][key],
+                 low=least)
     return cfg
 
 
@@ -190,10 +190,10 @@ def build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
                   image_size=cfg.get("data", "image_size"),
                   seed=seed, noise=cfg.get("data", "noise"),
                   signal=cfg.get("data", "signal"))
-    train = make_synthetic(per_class=cfg.get("data", "per_class"),
-                           split="train", **common)
-    test = make_synthetic(per_class=cfg.get("data", "test_per_class"),
-                          split="test", **common)
+    train = _checked("data", make_synthetic, per_class=cfg.get("data", "per_class"),
+                     split="train", **common)
+    test = _checked("data", make_synthetic, per_class=cfg.get("data", "test_per_class"),
+                    split="test", **common)
     return train, test
 
 
@@ -214,12 +214,10 @@ def build_encoder_spec(cfg: RunConfig) -> EncoderSpec:
 def build_augment(cfg: RunConfig, image_size: int) -> AugmentPolicy:
     """The augmentation policy for images of side ``image_size``."""
     crop_pad = cfg.get("augment", "crop_pad")
-    if crop_pad >= image_size:      # np.pad would reflect more than once
-        raise ConfigError(f"[augment] crop_pad must be below the image size "
-                          f"{image_size}, got {crop_pad}")
+    _checked("augment", check_range, name="crop_pad", value=crop_pad, low=0,
+             high=image_size, high_open=True)   # np.pad would reflect more than once
     return _checked("augment", AugmentPolicy, crop_pad=crop_pad,
-                    hflip_prob=cfg.get("augment", "hflip_prob"),
-                    enabled=cfg.get("augment", "enabled"))
+                    hflip_prob=cfg.get("augment", "hflip_prob"))
 
 
 def build_pretrain(cfg: RunConfig, image_size: int) -> PretrainConfig:

@@ -8,6 +8,7 @@ independent per consumer.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterator
@@ -27,17 +28,30 @@ class DataError(ValueError):
     """Malformed, missing, or inconsistent dataset input."""
 
 
+def check_range(name: str, value, low=-math.inf, high=math.inf, *,
+                low_open: bool = False, high_open: bool = False):
+    """``value`` if it is finite and within [low, high], else ValueError.
+
+    ``low_open``/``high_open`` make that end strict. NaN and +-inf never pass.
+    """
+    above = value > low if low_open else value >= low
+    below = value < high if high_open else value <= high
+    if not (above and below and -math.inf < value < math.inf):
+        raise ValueError(f"{name} must be finite and in {'[('[low_open]}{low}, "
+                         f"{high}{'])'[high_open]}, got {value}")
+    return value
+
+
 @dataclass
 class AugmentPolicy:
+    """Random crop and flip; the default draws nothing and changes nothing."""
+
     crop_pad: int = 0
     hflip_prob: float = 0.0
-    enabled: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.hflip_prob <= 1.0:
-            raise ValueError(f"hflip_prob must be in [0, 1], got {self.hflip_prob}")
-        if self.crop_pad < 0:
-            raise ValueError(f"crop_pad must be non-negative, got {self.crop_pad}")
+        check_range("crop_pad", self.crop_pad, 0)
+        check_range("hflip_prob", self.hflip_prob, 0, 1)
 
 
 @dataclass
@@ -175,11 +189,9 @@ def augment_batch(images: np.ndarray, policy: AugmentPolicy,
                   rng: np.random.Generator) -> np.ndarray:
     """Per-image reflection-pad random crop plus random horizontal flip.
 
-    Shape is preserved; one rng stream drives the whole batch, so its state
-    fully determines the output.
+    Shape is preserved and the result is a new array; one rng stream drives
+    the whole batch, so its state fully determines the output.
     """
-    if not policy.enabled:
-        return images.copy()
     n, _, h, w = images.shape
     out = images
     pad = policy.crop_pad
@@ -195,7 +207,7 @@ def augment_batch(images: np.ndarray, policy: AugmentPolicy,
         flips = rng.random(n) < policy.hflip_prob
         out = out.copy() if out is images else out
         out[flips] = out[flips, :, :, ::-1]
-    return np.ascontiguousarray(out)
+    return images.copy() if out is images else np.ascontiguousarray(out)
 
 
 def batch_iter(n: int, batch_size: int,

@@ -247,8 +247,7 @@ def transpose(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # subgradient at 0 is 0
-    return _result("relu", np.where(mask, a.data, 0).astype(a.data.dtype, copy=False),
-                   [(a, lambda g: g * mask)])
+    return _result("relu", np.maximum(a.data, 0), [(a, lambda g: g * mask)])
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import attacks, data, losses, models, tensor as T
 from .attacks import AttackConfig, AttackContext
-from .data import AugmentPolicy, Dataset
+from .data import AugmentPolicy, Dataset, check_range
 from .models import ModelParams
 from .tensor import NumericError
 
@@ -35,30 +35,10 @@ def default_view_attacks(epsilon: float = 0.03, num_steps: int = 5) -> tuple[Att
     return pgd_view, cw_view
 
 
-@dataclass
-class PretrainConfig:
-    epochs: int
-    batch_size: int
-    lr0: float
-    momentum: float = 0.9
-    tau: float = 0.1
-    pgd_view: AttackConfig = field(default_factory=lambda: default_view_attacks()[0])
-    cw_view: AttackConfig = field(default_factory=lambda: default_view_attacks()[1])
-    augment: AugmentPolicy = field(default_factory=lambda: AugmentPolicy(crop_pad=2, hflip_prob=0.5))
-    seed: int = 0
-    checkpoint_every: int = 0    # epochs between mid-run checkpoints; 0 = final only
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.checkpoint_every < 0:
-            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+def _check_schedule(epochs: int, batch_size: int, lr_name: str, lr: float):
+    check_range("epochs", epochs, 1)
+    check_range("batch_size", batch_size, 1)
+    check_range(lr_name, lr, 0, low_open=True)
 
 
 @dataclass
@@ -69,12 +49,7 @@ class FinetuneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr > 0:     # NaN too
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        _check_schedule(self.epochs, self.batch_size, "lr", self.lr)
 
 
 @dataclass
@@ -89,12 +64,23 @@ class SupervisedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
+        _check_schedule(self.epochs, self.batch_size, "lr0", self.lr0)
+        check_range("momentum", self.momentum, 0, 1, high_open=True)
+
+
+@dataclass
+class PretrainConfig(SupervisedConfig):
+    """The supervised schedule plus ACT's temperature and view attacks."""
+
+    tau: float = 0.1
+    pgd_view: AttackConfig = field(default_factory=lambda: default_view_attacks()[0])
+    cw_view: AttackConfig = field(default_factory=lambda: default_view_attacks()[1])
+    checkpoint_every: int = 0    # epochs between mid-run checkpoints; 0 = final only
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_range("tau", self.tau, 0, low_open=True)
+        check_range("checkpoint_every", self.checkpoint_every, 0)
 
 
 @dataclass
@@ -124,10 +110,8 @@ class TrainLog:
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     """Half-cosine decay from lr0 at step 0 to 0 at total_steps."""
-    if total_steps <= 0:
-        raise ValueError(f"total_steps must be positive, got {total_steps}")
-    if not 0 <= step <= total_steps:
-        raise ValueError(f"step {step} outside [0, {total_steps}]")
+    check_range("total_steps", total_steps, 1)
+    check_range("step", step, 0, total_steps)
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
@@ -204,7 +188,7 @@ def _descend(params: ModelParams, trains: tuple[str, ...], n: int, batch_size: i
         yield EpochRecord(epoch, float(np.mean(epoch_losses)), lr, time.monotonic() - t0)
 
 
-def _momentum_on_cosine(cfg: PretrainConfig | SupervisedConfig, n: int):
+def _momentum_on_cosine(cfg: SupervisedConfig, n: int):
     """``lr_at`` and ``update`` for momentum SGD on the cosine schedule."""
     total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
     return (lambda step: cosine_lr(step, total_steps, cfg.lr0),

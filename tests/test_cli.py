@@ -144,6 +144,29 @@ BAD_INPUTS = {
                                   "[pretrain]"),
     "negative-noise": ("pretrain", [], ("image_size = 16", "image_size = 16\nnoise = -1"),
                        "[data]"),
+    "nan-epsilon": ("evaluate", [], ("epsilons = 0.0,0.03", "epsilons = nan"), "[attacks]"),
+    "inf-epsilon": ("evaluate", [], ("epsilons = 0.0,0.03", "epsilons = inf"), "[attacks]"),
+    "nan-step-size": ("evaluate", [], ("\nsteps = 2", "\nsteps = 2\nstep_size = nan"),
+                      "[attacks]"),
+    "negative-kappa": ("evaluate", [], ("\nsteps = 2", "\nsteps = 2\nkappa = -1"),
+                       "[attacks]"),
+    "nan-kappa": ("evaluate", [], ("\nsteps = 2", "\nsteps = 2\nkappa = nan"), "[attacks]"),
+    "inf-view-epsilon": ("pretrain", [], ("view_steps = 2",
+                                          "view_steps = 2\nview_epsilon = inf"),
+                         "[pretrain]"),
+    "nan-baseline-lr0": ("baseline", ["--baseline-epochs", "1"],
+                         ("[baseline]\nepochs = 2", "[baseline]\nepochs = 2\nlr0 = nan"),
+                         "[baseline]"),
+    "nan-tau": ("pretrain", [], ("view_steps = 2", "view_steps = 2\ntau = nan"), "[pretrain]"),
+    "momentum-above-one": ("pretrain", ["--pretrain-epochs", "1"],
+                           ("view_steps = 2", "view_steps = 2\nmomentum = 5"), "[pretrain]"),
+    "nan-noise": ("pretrain", [], ("image_size = 16", "image_size = 16\nnoise = nan"),
+                  "[data]"),
+    "nan-signal": ("baseline", ["--baseline-epochs", "1"],
+                   ("image_size = 16", "image_size = 16\nsignal = nan"), "[data]"),
+    "negative-seed": ("pretrain", [], ("seed = 3", "seed = -1"), "[run]"),
+    "one-class": ("pretrain", [], ("num_classes = 4", "num_classes = 1"), "[data]"),
+    "negative-per-class": ("pretrain", [], ("per_class = 30", "per_class = -1"), "[data]"),
 }
 
 

@@ -1,9 +1,28 @@
 """Config grammar: parsing, validation, suggestions, overrides, builders."""
 
+import dataclasses
+import math
+from pathlib import Path
+
 import pytest
 
 from advclr import config as cfgmod
+from advclr.attacks import AttackConfig
 from advclr.config import ConfigError, parse_config
+from advclr.data import AugmentPolicy
+from advclr.training import FinetuneConfig, PretrainConfig, SupervisedConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# valid keyword arguments for each config dataclass; pgd, because FGSM
+# overwrites its step size
+VALID = {PretrainConfig: dict(epochs=1, batch_size=8, lr0=0.1),
+         SupervisedConfig: dict(epochs=1, batch_size=8, lr0=0.1),
+         FinetuneConfig: dict(epochs=1),
+         AttackConfig: dict(kind="pgd", epsilon=0.03),
+         AugmentPolicy: dict()}
+FLOAT_FIELDS = [(cls, f.name) for cls in VALID for f in dataclasses.fields(cls)
+                if "float" in str(f.type)]
 
 MINIMAL = """
 [run]
@@ -127,3 +146,35 @@ class TestBuilders:
         assert a.digest() == b.digest()
         c = parse_config(write(tmp_path, MINIMAL), {"run.seed": 2})
         assert c.digest() != a.digest()
+
+
+class TestNumericBounds:
+    def test_every_config_has_float_fields(self):
+        assert {cls for cls, _ in FLOAT_FIELDS} == set(VALID)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls,name", FLOAT_FIELDS,
+                             ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+    def test_float_field_rejects_non_finite(self, cls, name, value):
+        cls(**VALID[cls])
+        with pytest.raises(ValueError, match=name):
+            cls(**{**VALID[cls], name: value})
+
+    def test_pretrain_extends_the_supervised_schedule(self):
+        # the schedule fields and their checks are declared once
+        assert issubclass(PretrainConfig, SupervisedConfig)
+        assert set(vars(PretrainConfig)["__annotations__"]) == {
+            "tau", "pgd_view", "cw_view", "checkpoint_every"}
+
+
+def test_readme_config_block_builds_every_config(tmp_path):
+    # README's config block and SCHEMA must not drift apart
+    block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(write(tmp_path, block))
+    size = cfg.get("data", "image_size")
+    cfgmod.build_pretrain(cfg, size)
+    cfgmod.build_finetune(cfg)
+    cfgmod.build_baseline(cfg, size)
+    cfgmod.build_encoder_spec(cfg)
+    assert cfgmod.build_augment(cfg, size) == AugmentPolicy(crop_pad=2, hflip_prob=0.5)
+    assert len(cfgmod.build_attacks(cfg)) == 9

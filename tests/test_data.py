@@ -125,9 +125,7 @@ class TestAugment:
     def test_disabled_is_identity(self):
         rng = np.random.default_rng(0)
         images = rng.random((5, 3, 8, 8)).astype(np.float32)
-        out = augment_batch(images, AugmentPolicy(crop_pad=4, hflip_prob=1.0,
-                                                  enabled=False),
-                            np.random.default_rng(1))
+        out = augment_batch(images, AugmentPolicy(), np.random.default_rng(1))
         assert np.array_equal(out, images)
         assert out is not images
 

@@ -21,6 +21,12 @@ class TestForward:
         out = T.relu(constant([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
+    def test_relu_keeps_nan(self):
+        # a NaN must reach the loss guard, not be zeroed on the way
+        out = T.relu(constant([np.nan, -1.0, 2.0]))
+        assert np.isnan(out.data[0])
+        np.testing.assert_array_equal(out.data[1:], [0.0, 2.0])
+
     def test_matmul_identity(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 3))

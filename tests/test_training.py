@@ -5,7 +5,7 @@ import pytest
 
 import advclr as A
 from advclr import data, models, training
-from advclr.tensor import ShapeError
+from advclr.tensor import NumericError, ShapeError
 from advclr.training import (EpochRecord, FinetuneConfig, PretrainConfig,
                              SupervisedConfig, TrainLog, adam_step, cosine_lr,
                              sgd_momentum_step)
@@ -210,9 +210,19 @@ class TestSupervised:
     def test_loss_decreases(self):
         ds = data.make_synthetic(4, 24, 8, seed=2)
         cfg = SupervisedConfig(epochs=4, batch_size=32, lr0=0.05, seed=0,
-                               augment=data.AugmentPolicy(enabled=False))
+                               augment=data.AugmentPolicy())
         _, log = training.supervised_train(ds, SPEC, cfg, proj_dim=8)
         assert log.records[-1].loss < log.records[0].loss
+
+    def test_nan_pixel_is_numeric_error(self):
+        # one NaN pixel makes its channel's batch statistics NaN; the loss
+        # guard must see it rather than a finite loss over NaN weights
+        ds = data.make_synthetic(4, 30, 8, seed=2)
+        ds.images[0, 0, 0, 0] = np.nan
+        cfg = SupervisedConfig(epochs=1, batch_size=128, lr0=0.05, seed=0,
+                               augment=data.AugmentPolicy())
+        with pytest.raises(NumericError, match="non-finite loss"):
+            training.supervised_train(ds, SPEC, cfg, proj_dim=8)
 
     def test_deterministic(self):
         ds = data.make_synthetic(4, 8, 8, seed=3)
