@@ -79,7 +79,8 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "eval": {"batch_size": ("int", 256), "max_test": ("int", 0)},
 }
 # lower bounds of numeric keys, whichever command reads them; all must be finite
-MINIMUMS = {("run", "seed"): 0, ("data", "image_size"): 1, ("data", "noise"): 0,
+MINIMUMS = {("run", "seed"): 0, ("data", "per_class"): 1, ("data", "test_per_class"): 1,
+            ("data", "image_size"): 1, ("data", "noise"): 0,
             ("data", "signal"): -math.inf, ("model", "proj_dim"): 1,
             ("eval", "batch_size"): 1, ("eval", "max_test"): 0}
 

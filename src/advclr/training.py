@@ -11,10 +11,13 @@ weights.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import os
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -204,6 +207,12 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
     Per batch: augment, generate a PGD view and a CW view of each augmented
     image against the current weights, then descend the contrastive loss over
     the (clean, PGD, CW) projections with momentum SGD on a cosine schedule.
+
+    When the process may use two or more CPUs, a worker thread makes the CW
+    view while this thread makes the PGD view. Either way the CW view draws
+    its random start from a copy of the attack generator advanced past the
+    PGD view's draw, which then hands its end state back, so the weights are
+    bitwise those of making the views one after the other.
     """
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     aug_rng = np.random.default_rng(seeds[0])
@@ -211,13 +220,25 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
     shuffle_seeds = np.random.default_rng(seeds[2]).integers(0, 2 ** 31, size=cfg.epochs)
     params = models.init_params(spec, dataset.num_classes, cfg.seed, proj_dim)
     views = [0, 0]      # PGD and CW views made this epoch
+    two_cpus = len(os.sched_getaffinity(0)) >= 2
 
     def batch_loss(idx, leaves):
         x_aug = data.augment_batch(dataset.images[idx], cfg.augment, aug_rng)
         z_ref = models.project(params, models.encode(params, x_aug)).data
-        ctx = AttackContext(reference=z_ref, temperature=cfg.tau, rng=attack_rng)
-        x_pgd = attacks.pgd(params, x_aug, cfg.pgd_view, ctx)
-        x_cw = attacks.cw(params, x_aug, cfg.cw_view, ctx)
+        pgd_ctx = AttackContext(reference=z_ref, temperature=cfg.tau, rng=attack_rng)
+        cw_ctx = replace(pgd_ctx, rng=copy.deepcopy(attack_rng))
+        cw_ctx.rng.bit_generator.advance(attacks.start_draws(cfg.pgd_view, x_aug.shape))
+        cw_args = (params, x_aug, cfg.cw_view, cw_ctx)
+        if two_cpus:
+            # leaving the block joins the worker, also when the PGD view raised
+            with ThreadPoolExecutor(1) as worker:
+                cw_job = worker.submit(attacks.cw, *cw_args)
+                x_pgd = attacks.pgd(params, x_aug, cfg.pgd_view, pgd_ctx)
+            x_cw = cw_job.result()
+        else:
+            x_pgd = attacks.pgd(params, x_aug, cfg.pgd_view, pgd_ctx)
+            x_cw = attacks.cw(*cw_args)
+        attack_rng.bit_generator.state = cw_ctx.rng.bit_generator.state
         views[0] += len(x_pgd)
         views[1] += len(x_cw)
         emb = models.encode(params, np.concatenate([x_aug, x_pgd, x_cw]),

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import advclr
-from advclr import cli, evaluation, models
+from advclr import attacks, cli, evaluation, models
 from advclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK
+from advclr.tensor import NumericError
 
 TINY_CFG = """
 [run]
@@ -167,6 +168,10 @@ BAD_INPUTS = {
     "negative-seed": ("pretrain", [], ("seed = 3", "seed = -1"), "[run]"),
     "one-class": ("pretrain", [], ("num_classes = 4", "num_classes = 1"), "[data]"),
     "negative-per-class": ("pretrain", [], ("per_class = 30", "per_class = -1"), "[data]"),
+    "zero-per-class": ("baseline", ["--baseline-epochs", "1"],
+                       ("per_class = 30", "per_class = 0"), "[data]"),
+    "zero-test-per-class": ("evaluate", [], ("test_per_class = 10", "test_per_class = 0"),
+                            "[data]"),
 }
 
 
@@ -267,6 +272,18 @@ def test_collapsed_network_is_numeric_error(tmp_path, capsys):
     assert cli.main(["pretrain", "--config", str(path),
                      "--run-dir", str(tmp_path / "run")]) == EXIT_NUMERIC
     assert "zero-norm" in capsys.readouterr().err
+
+
+def test_failing_cw_view_is_numeric_error(cfg_file, tmp_path, monkeypatch, capsys):
+    # two usable CPUs, so the view fails on the worker thread
+    def failing_view(*args):
+        raise NumericError("cw view failed")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(attacks, "cw", failing_view)
+    assert cli.main(["pretrain", "--config", cfg_file,
+                     "--run-dir", str(tmp_path / "run")]) == EXIT_NUMERIC
+    assert "cw view failed" in capsys.readouterr().err
 
 
 # evaluate with the process's file-size limit below the report's size: the

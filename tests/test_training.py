@@ -1,10 +1,14 @@
 """Optimizers, schedules, and the three training loops."""
 
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import advclr as A
-from advclr import data, models, training
+from advclr import attacks, data, models, training
 from advclr.tensor import NumericError, ShapeError
 from advclr.training import (EpochRecord, FinetuneConfig, PretrainConfig,
                              SupervisedConfig, TrainLog, adam_step, cosine_lr,
@@ -152,6 +156,95 @@ class TestActPretrain:
         training.act_pretrain(ds, SPEC, cfg, out_dir=str(tmp_path), proj_dim=8)
         assert (tmp_path / "pretrain-final.ckpt").exists()
         assert (tmp_path / "pretrain-epoch1.ckpt").exists()
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _view_spy(monkeypatch):
+    """Record each view's kind, thread and generator as act_pretrain calls it."""
+    calls = []
+    for kind in ("pgd", "cw"):
+        def spy(model, x, cfg, ctx, _fn=getattr(attacks, kind)):
+            calls.append((cfg.kind, threading.get_ident(), ctx.rng))
+            return _fn(model, x, cfg, ctx)
+        monkeypatch.setattr(attacks, kind, spy)
+    return calls
+
+
+def _fails(message):
+    def view(*args):
+        raise NumericError(message)
+    return view
+
+
+class TestViewThreads:
+    """The CW view runs on a worker thread when two CPUs are usable, with the
+    same bits as running the views one after the other on one CPU."""
+
+    @pytest.mark.parametrize("pgd_view", [
+        None,
+        attacks.AttackConfig("pgd", 0.03, num_steps=2, objective="contrastive"),
+        attacks.AttackConfig("pgd", 0.0, num_steps=2, random_start=True,
+                             objective="contrastive"),
+    ], ids=["default", "no-random-start", "zero-eps"])
+    def test_one_and_two_cpus_agree(self, monkeypatch, tmp_path, pgd_view):
+        ds = small_dataset()
+        cfg = fast_pretrain_cfg(2)
+        if pgd_view is not None:
+            cfg.pgd_view = pgd_view
+        runs = {}
+        for n in (1, 2):
+            _cpus(monkeypatch, n)
+            calls = _view_spy(monkeypatch)
+            out = tmp_path / str(n)
+            out.mkdir()
+            threads = threading.active_count()
+            _, log = training.act_pretrain(ds, SPEC, cfg, out_dir=str(out), proj_dim=8)
+            assert threading.active_count() == threads
+            cw_threads = {ident for kind, ident, _ in calls if kind == "cw"}
+            assert (threading.get_ident() in cw_threads) == (n == 1)
+            attack_rng = next(rng for kind, _, rng in calls if kind == "pgd")
+            runs[n] = ((out / "pretrain-final.ckpt").read_bytes(),
+                       [(r.epoch, r.loss, r.lr, r.pgd_views, r.cw_views)
+                        for r in log.records],
+                       attack_rng.bit_generator.state)
+            monkeypatch.undo()
+        assert runs[1] == runs[2]
+        assert all(r[3:] == (len(ds), len(ds)) for r in runs[1][1])
+        # the generator ends where one stream of every start draw would
+        draws = sum(attacks.start_draws(view, ds.images.shape)
+                    for view in (cfg.pgd_view, cfg.cw_view))
+        expected = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[1])
+        expected.bit_generator.advance(cfg.epochs * draws)
+        assert runs[1][2] == expected.bit_generator.state
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failing_cw_view_is_raised(self, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(attacks, "cw", _fails("cw view failed"))
+        threads = threading.active_count()
+        with pytest.raises(NumericError, match="cw view failed"):
+            training.act_pretrain(small_dataset(), SPEC, fast_pretrain_cfg(1), proj_dim=8)
+        assert threading.active_count() == threads
+
+    def test_failing_pgd_view_joins_worker(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        finished = []
+
+        def slow_cw(*args):
+            time.sleep(0.2)
+            finished.append(True)
+            return args[1]
+
+        monkeypatch.setattr(attacks, "cw", slow_cw)
+        monkeypatch.setattr(attacks, "pgd", _fails("pgd view failed"))
+        threads = threading.active_count()
+        with pytest.raises(NumericError, match="pgd view failed"):
+            training.act_pretrain(small_dataset(), SPEC, fast_pretrain_cfg(1), proj_dim=8)
+        assert finished == [True]
+        assert threading.active_count() == threads
 
 
 class TestFinetune:
