@@ -79,8 +79,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "eval": {"batch_size": ("int", 256), "max_test": ("int", 0)},
 }
 # lower bounds of numeric keys, whichever command reads them; all must be finite
-MINIMUMS = {("run", "seed"): 0, ("data", "per_class"): 1, ("data", "test_per_class"): 1,
-            ("data", "image_size"): 1, ("data", "noise"): 0,
+MINIMUMS = {("run", "seed"): 0, ("data", "image_size"): 1, ("data", "noise"): 0,
             ("data", "signal"): -math.inf, ("model", "proj_dim"): 1,
             ("eval", "batch_size"): 1, ("eval", "max_test"): 0}
 
@@ -186,6 +185,8 @@ def build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     if source != "synthetic":
         raise ConfigError(f"[data] source must be 'synthetic' or 'cifar10', "
                           f"got {source!r}")
+    for key in ("per_class", "test_per_class"):   # only synthetic data reads them
+        _checked("data", check_range, name=key, value=cfg.get("data", key), low=1)
     seed = cfg.get("run", "seed")
     common = dict(num_classes=cfg.get("data", "num_classes"),
                   image_size=cfg.get("data", "image_size"),

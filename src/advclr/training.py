@@ -12,6 +12,8 @@ weights.
 from __future__ import annotations
 
 import copy
+import ctypes
+import glob
 import json
 import math
 import os
@@ -199,6 +201,34 @@ def _momentum_on_cosine(cfg: SupervisedConfig, n: int):
                 params, grads, state, lr, cfg.momentum))
 
 
+def blas_threads() -> int | None:
+    """How many threads numpy's bundled OpenBLAS runs, None when it cannot be read."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in glob.glob(os.path.join(libs, "*openblas*")):
+        try:
+            handle = ctypes.CDLL(lib)    # the copy numpy loaded, not a second one
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
+
+
+def view_threads() -> bool:
+    """Whether ACT makes its two views on two threads at once.
+
+    Only when each view thread has as many usable CPUs of its own as BLAS runs
+    threads; otherwise the two threads and BLAS's own oversubscribe the cores
+    and the views are faster one after the other. An unknown BLAS counts as
+    not leaving room.
+    """
+    threads = blas_threads()
+    return threads is not None and len(os.sched_getaffinity(0)) >= 2 * threads
+
+
 def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig,
                  out_dir: str | None = None,
                  proj_dim: int = 128) -> tuple[ModelParams, TrainLog]:
@@ -208,8 +238,8 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
     image against the current weights, then descend the contrastive loss over
     the (clean, PGD, CW) projections with momentum SGD on a cosine schedule.
 
-    When the process may use two or more CPUs, a worker thread makes the CW
-    view while this thread makes the PGD view. Either way the CW view draws
+    When :func:`view_threads` allows it, a worker thread makes the CW view
+    while this thread makes the PGD view. Either way the CW view draws
     its random start from a copy of the attack generator advanced past the
     PGD view's draw, which then hands its end state back, so the weights are
     bitwise those of making the views one after the other.
@@ -220,7 +250,7 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
     shuffle_seeds = np.random.default_rng(seeds[2]).integers(0, 2 ** 31, size=cfg.epochs)
     params = models.init_params(spec, dataset.num_classes, cfg.seed, proj_dim)
     views = [0, 0]      # PGD and CW views made this epoch
-    two_cpus = len(os.sched_getaffinity(0)) >= 2
+    two_threads = view_threads()
 
     def batch_loss(idx, leaves):
         x_aug = data.augment_batch(dataset.images[idx], cfg.augment, aug_rng)
@@ -229,7 +259,7 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
         cw_ctx = replace(pgd_ctx, rng=copy.deepcopy(attack_rng))
         cw_ctx.rng.bit_generator.advance(attacks.start_draws(cfg.pgd_view, x_aug.shape))
         cw_args = (params, x_aug, cfg.cw_view, cw_ctx)
-        if two_cpus:
+        if two_threads:
             # leaving the block joins the worker, also when the PGD view raised
             with ThreadPoolExecutor(1) as worker:
                 cw_job = worker.submit(attacks.cw, *cw_args)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import advclr
-from advclr import attacks, cli, evaluation, models
+from advclr import attacks, cli, evaluation, models, training
 from advclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK
 from advclr.tensor import NumericError
 
@@ -275,11 +275,12 @@ def test_collapsed_network_is_numeric_error(tmp_path, capsys):
 
 
 def test_failing_cw_view_is_numeric_error(cfg_file, tmp_path, monkeypatch, capsys):
-    # two usable CPUs, so the view fails on the worker thread
+    # two usable CPUs and one BLAS thread, so the view fails on the worker thread
     def failing_view(*args):
         raise NumericError("cw view failed")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(training, "blas_threads", lambda: 1)
     monkeypatch.setattr(attacks, "cw", failing_view)
     assert cli.main(["pretrain", "--config", cfg_file,
                      "--run-dir", str(tmp_path / "run")]) == EXIT_NUMERIC

@@ -140,6 +140,14 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="dir"):
             cfgmod.build_dataset(cfg)
 
+    def test_cifar_ignores_synthetic_counts(self, tmp_path):
+        # per_class and test_per_class size synthetic data only
+        text = MINIMAL.replace("source = synthetic", "source = cifar10").replace(
+            "per_class = 20", "per_class = 0\ntest_per_class = 0")
+        cfg = parse_config(write(tmp_path, text))
+        with pytest.raises(ConfigError, match=r"\[data\] dir"):
+            cfgmod.build_dataset(cfg)
+
     def test_digest_stable_and_sensitive(self, tmp_path):
         a = parse_config(write(tmp_path, MINIMAL))
         b = parse_config(write(tmp_path, MINIMAL))

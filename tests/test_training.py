@@ -1,6 +1,8 @@
 """Optimizers, schedules, and the three training loops."""
 
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -158,8 +160,9 @@ class TestActPretrain:
         assert (tmp_path / "pretrain-epoch1.ckpt").exists()
 
 
-def _cpus(monkeypatch, n):
+def _cpus(monkeypatch, n, blas=1):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(training, "blas_threads", lambda: blas)
 
 
 def _view_spy(monkeypatch):
@@ -180,8 +183,26 @@ def _fails(message):
 
 
 class TestViewThreads:
-    """The CW view runs on a worker thread when two CPUs are usable, with the
-    same bits as running the views one after the other on one CPU."""
+    """The CW view runs on a worker thread when two CPUs are usable per BLAS
+    thread, with the same bits as running the views one after the other."""
+
+    @pytest.mark.parametrize("cpus,blas,threaded", [
+        (1, 1, False), (2, 1, True), (2, 2, False), (3, 2, False), (4, 2, True),
+        (8, None, False),
+    ])
+    def test_threads_only_when_blas_leaves_room(self, monkeypatch, cpus, blas, threaded):
+        _cpus(monkeypatch, cpus, blas)
+        assert training.view_threads() == threaded
+
+    def test_blas_threads_reads_the_loaded_blas(self):
+        if training.blas_threads() is None:
+            pytest.skip("numpy bundles no OpenBLAS here")
+        code = "from advclr import training; print(training.blas_threads())"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(A.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "1"
 
     @pytest.mark.parametrize("pgd_view", [
         None,
