@@ -5,8 +5,7 @@ from .data import (AugmentPolicy, DataError, Dataset, augment_batch, batch_iter,
                    load_cifar10, make_synthetic)
 from .models import (EncoderSpec, ModelParams, classify, encode, init_params,
                      load_checkpoint, project, save_checkpoint)
-from .losses import (ContrastiveBatch, ViewTriple, adv_contrastive,
-                     cross_entropy, info_nce)
+from .losses import adv_contrastive, cross_entropy, info_nce
 from .attacks import (AttackConfig, AttackContext, attack_objective, cw,
                       fgsm, pgd, project_linf, run_attack)
 from .training import (FinetuneConfig, PretrainConfig, SupervisedConfig,

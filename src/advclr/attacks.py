@@ -38,7 +38,6 @@ import numpy as np
 
 from . import losses, models, tensor as T
 from .data import check_range
-from .losses import ContrastiveBatch
 from .tensor import NumericError, Tensor
 
 # kind -> (objective with labels, objective with reference embeddings only)
@@ -163,9 +162,7 @@ def _objective_graph(params: models.ModelParams, x: Tensor, mode: str,
         per = T.neg(_margin_terms(sims, eye, kappa))
         return per.mean(), per.data, None
     if mode == "contrastive":
-        batch = ContrastiveBatch(z, T.constant(ref), T.constant(ref),
-                                 np.eye(b, dtype=bool), ctx.temperature)
-        per = losses.info_nce_terms(batch)
+        per = losses.info_nce_terms(z, ref, ref, np.eye(b, dtype=bool), ctx.temperature)
         return per.mean(), per.data, None
     raise ValueError(f"unknown objective {mode!r}")
 

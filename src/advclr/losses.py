@@ -7,8 +7,6 @@ L2-normalized; similarities are plain dot products of those unit rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -32,49 +30,27 @@ def _check_unit_rows(name: str, t: Tensor):
                          f"{np.max(np.abs(norms - 1.0)):.2e})")
 
 
-@dataclass
-class ContrastiveBatch:
-    """One anchor row, one positive row, and a shared pool of negatives.
-
-    ``exclude[i, j]`` marks pool row j as not-a-negative for anchor i
-    (at minimum the anchor's own views).
-    """
-
-    anchors: Tensor          # (B, D) unit rows
-    positives: Tensor        # (B, D) unit rows
-    negative_pool: Tensor    # (P, D) unit rows
-    exclude: np.ndarray      # (B, P) bool
-    temperature: float = 0.1
-
-
-@dataclass
-class ViewTriple:
-    """Projections of the clean batch and its two perturbed views."""
-
-    z_orig: Tensor
-    z_pgd: Tensor
-    z_cw: Tensor
-
-
-def info_nce_terms(batch: ContrastiveBatch) -> Tensor:
+def info_nce_terms(anchors, positives, pool, exclude,
+                   temperature: float = 0.1) -> Tensor:
     """Per-anchor one-positive-vs-pool softmax loss, shape (B,).
 
-    For each anchor: -log( e^(pos/t) / (e^(pos/t) + sum_j e^(neg_j/t)) ),
-    the cross-entropy of the logits [positive | masked negatives] at 0.
+    ``anchors`` and ``positives`` are (B, D) unit rows, ``pool`` (P, D) unit
+    rows, and ``exclude[i, j]`` marks pool row j as not a negative of anchor i
+    (at least the anchor's own views). For each anchor:
+    -log( e^(pos/t) / (e^(pos/t) + sum_j e^(neg_j/t)) ), the cross-entropy of
+    the logits [positive | masked negatives] at 0.
     """
-    if batch.temperature <= 0:
-        raise ValueError(f"info_nce: temperature must be positive, got {batch.temperature}")
-    anchors = _as_tensor(batch.anchors)
-    positives = _as_tensor(batch.positives)
-    pool = _as_tensor(batch.negative_pool)
+    if temperature <= 0:
+        raise ValueError(f"info_nce: temperature must be positive, got {temperature}")
+    anchors, positives, pool = map(_as_tensor, (anchors, positives, pool))
     for name, t in (("anchors", anchors), ("positives", positives), ("pool", pool)):
         _check_unit_rows(f"info_nce {name}", t)
     b, p = anchors.shape[0], pool.shape[0]
-    exclude = np.asarray(batch.exclude, dtype=bool)
+    exclude = np.asarray(exclude, dtype=bool)
     if exclude.shape != (b, p):
         raise T.ShapeError(f"info_nce: exclude mask {exclude.shape} != ({b}, {p})")
 
-    inv_t = 1.0 / batch.temperature
+    inv_t = 1.0 / temperature
     s_pos = T.mul(anchors, positives).sum(axis=1, keepdims=True) * inv_t   # (B, 1)
     s_neg = T.matmul(anchors, T.transpose(pool)) * inv_t                   # (B, P)
     mask = np.where(exclude, MASK_VALUE, 0.0).astype(anchors.data.dtype)
@@ -82,20 +58,19 @@ def info_nce_terms(batch: ContrastiveBatch) -> Tensor:
     return cross_entropy_terms(logits, np.zeros(b, dtype=int))   # class 0: the positive
 
 
-def info_nce(batch: ContrastiveBatch) -> Tensor:
+def info_nce(anchors, positives, pool, exclude, temperature: float = 0.1) -> Tensor:
     """:func:`info_nce_terms` averaged over anchors."""
-    return info_nce_terms(batch).mean()
+    return info_nce_terms(anchors, positives, pool, exclude, temperature).mean()
 
 
-def adv_contrastive(views: ViewTriple, temperature: float = 0.1) -> Tensor:
+def adv_contrastive(z_orig, z_pgd, z_cw, temperature: float = 0.1) -> Tensor:
     """Average of two anchored losses: clean-vs-PGD view and clean-vs-CW view.
 
-    Negatives for both terms are every view (clean, PGD, CW) of every other
-    image in the batch.
+    The arguments are the projections of the clean batch and of its two
+    perturbed views. Negatives for both terms are every view (clean, PGD, CW)
+    of every other image in the batch.
     """
-    z_orig = _as_tensor(views.z_orig)
-    z_pgd = _as_tensor(views.z_pgd)
-    z_cw = _as_tensor(views.z_cw)
+    z_orig, z_pgd, z_cw = map(_as_tensor, (z_orig, z_pgd, z_cw))
     b = z_orig.shape[0]
     if z_pgd.shape != z_orig.shape or z_cw.shape != z_orig.shape:
         raise T.ShapeError(
@@ -106,8 +81,8 @@ def adv_contrastive(views: ViewTriple, temperature: float = 0.1) -> Tensor:
     rows = np.arange(b)
     for k in range(3):
         exclude[rows, k * b + rows] = True
-    first = info_nce(ContrastiveBatch(z_orig, z_pgd, pool, exclude, temperature))
-    second = info_nce(ContrastiveBatch(z_orig, z_cw, pool, exclude, temperature))
+    first = info_nce(z_orig, z_pgd, pool, exclude, temperature)
+    second = info_nce(z_orig, z_cw, pool, exclude, temperature)
     return T.mul(T.add(first, second), 0.5)
 
 

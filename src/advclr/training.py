@@ -32,12 +32,10 @@ from .tensor import NumericError
 
 
 def default_view_attacks(epsilon: float = 0.03, num_steps: int = 5) -> tuple[AttackConfig, AttackConfig]:
-    """Attack configs used to generate the PGD and CW views during pretraining."""
-    pgd_view = AttackConfig("pgd", epsilon, num_steps=num_steps,
-                            random_start=True, objective="contrastive")
-    cw_view = AttackConfig("cw", epsilon, num_steps=num_steps,
-                           random_start=True, objective="embedding_margin")
-    return pgd_view, cw_view
+    """Attack configs used to generate the PGD and CW views during pretraining;
+    each kind's unlabeled objective comes from ``attacks.DEFAULT_OBJECTIVES``."""
+    return tuple(AttackConfig(kind, epsilon, num_steps=num_steps, random_start=True)
+                 for kind in ("pgd", "cw"))
 
 
 def _check_schedule(epochs: int, batch_size: int, lr_name: str, lr: float):
@@ -275,9 +273,8 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
                             train=True, lifted=leaves)
         z_all = models.project(params, emb, lifted=leaves)
         b = len(idx)
-        triple = losses.ViewTriple(*(T.slice_rows(z_all, i * b, (i + 1) * b)
-                                     for i in range(3)))
-        return losses.adv_contrastive(triple, cfg.tau)
+        return losses.adv_contrastive(*(T.slice_rows(z_all, i * b, (i + 1) * b)
+                                        for i in range(3)), cfg.tau)
 
     log = TrainLog()
     for record in _descend(params, ("encoder.", "proj."), len(dataset), cfg.batch_size,

@@ -19,7 +19,6 @@ import advclr as A
 from advclr import attacks, data, evaluation, losses, models, training
 from advclr import tensor as T
 from advclr.attacks import AttackConfig, AttackContext
-from advclr.losses import ContrastiveBatch, ViewTriple
 from advclr.tensor import NumericError, constant
 from conftest import flatten_arrays, lift_from_vector
 
@@ -260,10 +259,10 @@ def test_criterion_4_info_nce_closed_form():
     for n in (1, 7, 63):
         row = np.zeros(8)
         row[0] = 1.0
-        batch = ContrastiveBatch(constant(row[None]), constant(row[None]),
-                                 constant(np.tile(row, (n, 1))),
-                                 np.zeros((1, n), dtype=bool), 0.1)
-        worst = max(worst, abs(losses.info_nce(batch).item() - math.log(1 + n)))
+        loss = losses.info_nce(constant(row[None]), constant(row[None]),
+                               constant(np.tile(row, (n, 1))),
+                               np.zeros((1, n), dtype=bool), 0.1)
+        worst = max(worst, abs(loss.item() - math.log(1 + n)))
 
     rng = np.random.default_rng(3)
     raw = rng.normal(size=(4, 8))
@@ -272,9 +271,8 @@ def test_criterion_4_info_nce_closed_form():
     def loss_of(c):
         z = c * raw / np.linalg.norm(c * raw, axis=1, keepdims=True)
         pool = c * pool_raw / np.linalg.norm(c * pool_raw, axis=1, keepdims=True)
-        return losses.info_nce(ContrastiveBatch(
-            constant(z), constant(z), constant(pool),
-            np.zeros((4, 6), dtype=bool), 0.1)).item()
+        return losses.info_nce(constant(z), constant(z), constant(pool),
+                               np.zeros((4, 6), dtype=bool), 0.1).item()
 
     rescale_gap = max(abs(loss_of(1.0) - loss_of(c)) for c in (5.0, 0.02, 311.0))
     announce(4, worst <= 1e-6 and rescale_gap <= 1e-6,
@@ -290,7 +288,7 @@ def test_criterion_5_adv_contrastive_bruteforce():
     z_orig, z_pgd, z_cw = [m / np.linalg.norm(m, axis=1, keepdims=True)
                            for m in mats]
     value = losses.adv_contrastive(
-        ViewTriple(constant(z_orig), constant(z_pgd), constant(z_cw)), 0.1).item()
+        constant(z_orig), constant(z_pgd), constant(z_cw), 0.1).item()
 
     def nce(anchor, positive, negatives, tau=0.1):
         pos = float(anchor @ positive) / tau

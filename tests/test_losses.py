@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from advclr import losses, tensor as T
-from advclr.losses import ContrastiveBatch, ViewTriple
 from advclr.tensor import constant
 
 
@@ -34,20 +33,20 @@ def nce_terms_numpy(anchors, positives, pool, exclude, tau):
     return -(shifted[:, 0] - np.log(np.exp(shifted).sum(axis=1)))
 
 
-def equal_similarity_batch(n_negatives, tau=0.1, batch=3, dim=8):
+def equal_similarity_args(n_negatives, tau=0.1, batch=3, dim=8):
+    """``info_nce`` arguments whose every similarity is 1."""
     row = np.zeros(dim)
     row[0] = 1.0
     anchors = np.tile(row, (batch, 1))
     pool = np.tile(row, (n_negatives, 1))
     exclude = np.zeros((batch, n_negatives), dtype=bool)
-    return ContrastiveBatch(constant(anchors), constant(anchors),
-                            constant(pool), exclude, tau)
+    return constant(anchors), constant(anchors), constant(pool), exclude, tau
 
 
 class TestInfoNCE:
     @pytest.mark.parametrize("n", [1, 7, 63])
     def test_equal_similarities_closed_form(self, n):
-        loss = losses.info_nce(equal_similarity_batch(n))
+        loss = losses.info_nce(*equal_similarity_args(n))
         assert loss.item() == pytest.approx(math.log(1 + n), abs=1e-6)
 
     def test_perfect_separation_near_zero(self):
@@ -56,10 +55,10 @@ class TestInfoNCE:
         row = np.zeros(dim)
         row[0] = 1.0
         pool = np.tile(-row, (n, 1))
-        batch = ContrastiveBatch(constant(row[None]), constant(row[None]),
-                                 constant(pool), np.zeros((1, n), dtype=bool), 0.1)
+        loss = losses.info_nce(constant(row[None]), constant(row[None]),
+                               constant(pool), np.zeros((1, n), dtype=bool), 0.1)
         expected = math.log(1 + n * math.exp(-20.0))
-        assert losses.info_nce(batch).item() == pytest.approx(expected, abs=1e-9)
+        assert loss.item() == pytest.approx(expected, abs=1e-9)
 
     def test_matches_bruteforce_on_random_batch(self):
         rng = np.random.default_rng(3)
@@ -67,9 +66,8 @@ class TestInfoNCE:
         positives = unit_rows(rng, 4, 6)
         pool = unit_rows(rng, 5, 6)
         exclude = rng.random((4, 5)) < 0.3
-        batch = ContrastiveBatch(constant(anchors), constant(positives),
-                                 constant(pool), exclude, 0.25)
-        value = losses.info_nce(batch).item()
+        value = losses.info_nce(constant(anchors), constant(positives),
+                                constant(pool), exclude, 0.25).item()
         expected = np.mean([
             nce_bruteforce(anchors[i], positives[i],
                            [pool[j] for j in range(5) if not exclude[i, j]], 0.25)
@@ -82,14 +80,13 @@ class TestInfoNCE:
         anchors, positives = unit_rows(rng, 6, 8), unit_rows(rng, 6, 8)
         pool = unit_rows(rng, 10, 8)
         exclude = rng.random((6, 10)) < 0.3
-        batch = ContrastiveBatch(*(constant(a, dtype=np.float32)
-                                   for a in (anchors, positives, pool)),
-                                 exclude, 0.1)
-        terms = losses.info_nce_terms(batch)
+        args = (*(constant(a, dtype=np.float32) for a in (anchors, positives, pool)),
+                exclude, 0.1)
+        terms = losses.info_nce_terms(*args)
         assert terms.shape == (6,) and terms.dtype == np.float32
         expected = nce_terms_numpy(anchors, positives, pool, exclude, 0.1)
         np.testing.assert_allclose(terms.data, expected, rtol=1e-5, atol=1e-5)
-        assert losses.info_nce(batch).data.tobytes() == terms.mean().data.tobytes()
+        assert losses.info_nce(*args).data.tobytes() == terms.mean().data.tobytes()
 
     def test_rescaling_embeddings_is_invariant(self):
         rng = np.random.default_rng(4)
@@ -100,32 +97,39 @@ class TestInfoNCE:
             z = raw * scale / np.linalg.norm(raw * scale, axis=1, keepdims=True)
             pool = pool_raw * scale / np.linalg.norm(pool_raw * scale, axis=1,
                                                      keepdims=True)
-            batch = ContrastiveBatch(constant(z), constant(z), constant(pool),
-                                     np.zeros((3, 4), dtype=bool), 0.1)
-            return losses.info_nce(batch).item()
+            return losses.info_nce(constant(z), constant(z), constant(pool),
+                                   np.zeros((3, 4), dtype=bool), 0.1).item()
 
         assert abs(loss_of(1.0) - loss_of(5.0)) <= 1e-6
         assert abs(loss_of(1.0) - loss_of(0.037)) <= 1e-6
 
     def test_positive_for_finite_inputs(self):
         rng = np.random.default_rng(5)
-        batch = ContrastiveBatch(constant(unit_rows(rng, 3, 4)),
-                                 constant(unit_rows(rng, 3, 4)),
-                                 constant(unit_rows(rng, 6, 4)),
-                                 np.zeros((3, 6), dtype=bool), 0.1)
-        assert losses.info_nce(batch).item() > 0.0
+        loss = losses.info_nce(constant(unit_rows(rng, 3, 4)),
+                               constant(unit_rows(rng, 3, 4)),
+                               constant(unit_rows(rng, 6, 4)),
+                               np.zeros((3, 6), dtype=bool), 0.1)
+        assert loss.item() > 0.0
 
     def test_non_positive_temperature_rejected(self):
         with pytest.raises(ValueError, match="temperature"):
-            losses.info_nce(equal_similarity_batch(2, tau=0.0))
+            losses.info_nce(*equal_similarity_args(2, tau=0.0))
 
     def test_non_unit_rows_rejected(self):
-        bad = ContrastiveBatch(constant(np.full((1, 4), 2.0)),
-                               constant(unit_rows(np.random.default_rng(0), 1, 4)),
-                               constant(unit_rows(np.random.default_rng(1), 2, 4)),
-                               np.zeros((1, 2), dtype=bool), 0.1)
+        bad = (constant(np.full((1, 4), 2.0)),
+               constant(unit_rows(np.random.default_rng(0), 1, 4)),
+               constant(unit_rows(np.random.default_rng(1), 2, 4)),
+               np.zeros((1, 2), dtype=bool), 0.1)
         with pytest.raises(ValueError, match="unit-norm"):
-            losses.info_nce(bad)
+            losses.info_nce(*bad)
+
+    def test_exclude_of_wrong_shape_rejected(self):
+        rng = np.random.default_rng(2)
+        anchors, pool = unit_rows(rng, 3, 4), unit_rows(rng, 5, 4)
+        for exclude in (np.zeros((3, 4), dtype=bool), np.zeros((5, 3), dtype=bool),
+                        np.zeros(15, dtype=bool)):
+            with pytest.raises(T.ShapeError, match="exclude mask"):
+                losses.info_nce_terms(anchors, anchors, pool, exclude)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-0.95, 0.9), st.floats(0.001, 0.049))
@@ -137,10 +141,9 @@ class TestInfoNCE:
         def loss_at(sim):
             anchor = np.array([[1.0, 0.0]])
             positive = np.array([[sim, math.sqrt(1 - sim ** 2)]])
-            batch = ContrastiveBatch(constant(anchor), constant(positive),
-                                     constant(negatives),
-                                     np.zeros((1, 4), dtype=bool), 0.1)
-            return losses.info_nce(batch).item()
+            return losses.info_nce(constant(anchor), constant(positive),
+                                   constant(negatives),
+                                   np.zeros((1, 4), dtype=bool), 0.1).item()
 
         assert loss_at(s + delta) < loss_at(s)
 
@@ -152,9 +155,8 @@ class TestInfoNCE:
 
         def fn(t):
             z = T.l2_normalize(t)
-            batch = ContrastiveBatch(z, constant(pool[:3]), constant(pool),
-                                     exclude, 0.2)
-            return losses.info_nce(batch)
+            return losses.info_nce(z, constant(pool[:3]), constant(pool),
+                                   exclude, 0.2)
 
         assert T.grad_check(fn, raw) <= 1e-4
 
@@ -179,20 +181,20 @@ class TestAdvContrastive:
         z_orig = unit_rows(rng, 3, 6)
         z_view = unit_rows(rng, 3, 6)
         both = losses.adv_contrastive(
-            ViewTriple(constant(z_orig), constant(z_view), constant(z_view)), 0.1)
+            constant(z_orig), constant(z_view), constant(z_view), 0.1)
         pool = np.concatenate([z_orig, z_view, z_view])
         exclude = np.zeros((3, 9), dtype=bool)
         for k in range(3):
             exclude[np.arange(3), 3 * k + np.arange(3)] = True
-        single = losses.info_nce(ContrastiveBatch(
-            constant(z_orig), constant(z_view), constant(pool), exclude, 0.1))
+        single = losses.info_nce(
+            constant(z_orig), constant(z_view), constant(pool), exclude, 0.1)
         assert both.item() == pytest.approx(single.item(), abs=1e-9)
 
     def test_b2_matches_bruteforce(self):
         rng = np.random.default_rng(9)
         z_orig, z_pgd, z_cw = (unit_rows(rng, 2, 5) for _ in range(3))
         value = losses.adv_contrastive(
-            ViewTriple(constant(z_orig), constant(z_pgd), constant(z_cw)), 0.1)
+            constant(z_orig), constant(z_pgd), constant(z_cw), 0.1)
         expected = brute_adv_contrastive(z_orig, z_pgd, z_cw, 0.1)
         assert value.item() == pytest.approx(expected, abs=1e-9)
 
@@ -201,19 +203,18 @@ class TestAdvContrastive:
         z_orig, z_pgd, z_cw = (unit_rows(rng, 4, 6) for _ in range(3))
         perm = np.array([2, 0, 3, 1])
         base = losses.adv_contrastive(
-            ViewTriple(constant(z_orig), constant(z_pgd), constant(z_cw)), 0.1)
+            constant(z_orig), constant(z_pgd), constant(z_cw), 0.1)
         permuted = losses.adv_contrastive(
-            ViewTriple(constant(z_orig[perm]), constant(z_pgd[perm]),
-                       constant(z_cw[perm])), 0.1)
+            constant(z_orig[perm]), constant(z_pgd[perm]), constant(z_cw[perm]), 0.1)
         assert abs(base.item() - permuted.item()) <= 1e-6
 
     def test_symmetric_in_view_order(self):
         rng = np.random.default_rng(12)
         z_orig, z_pgd, z_cw = (unit_rows(rng, 4, 6) for _ in range(3))
         a = losses.adv_contrastive(
-            ViewTriple(constant(z_orig), constant(z_pgd), constant(z_cw)), 0.1)
+            constant(z_orig), constant(z_pgd), constant(z_cw), 0.1)
         b = losses.adv_contrastive(
-            ViewTriple(constant(z_orig), constant(z_cw), constant(z_pgd)), 0.1)
+            constant(z_orig), constant(z_cw), constant(z_pgd), 0.1)
         assert abs(a.item() - b.item()) <= 1e-6
 
     def test_gradients_match_finite_differences(self):
@@ -223,10 +224,18 @@ class TestAdvContrastive:
         z_cw = unit_rows(rng, 2, 4)
 
         def fn(t):
-            triple = ViewTriple(T.l2_normalize(t), constant(z_pgd), constant(z_cw))
-            return losses.adv_contrastive(triple, 0.15)
+            return losses.adv_contrastive(T.l2_normalize(t), constant(z_pgd),
+                                          constant(z_cw), 0.15)
 
         assert T.grad_check(fn, raw) <= 1e-4
+
+    def test_views_of_different_shapes_rejected(self):
+        rng = np.random.default_rng(16)
+        z = unit_rows(rng, 3, 4)
+        for z_pgd, z_cw in ((unit_rows(rng, 2, 4), z), (z, unit_rows(rng, 3, 5)),
+                            (z, unit_rows(rng, 4, 4))):
+            with pytest.raises(T.ShapeError, match="view shapes differ"):
+                losses.adv_contrastive(z, z_pgd, z_cw)
 
 
 class TestCrossEntropy:
