@@ -210,8 +210,12 @@ def _cmd_gradcheck(args, cfg: RunConfig) -> int:
 def _cmd_report(args, cfg: RunConfig) -> int:
     reports = []
     for path in args.report:
-        with open(path, "r", encoding="utf-8") as fh:
-            reports.append(evaluation.EvalReport.from_json(fh.read()))
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            reports.append(evaluation.EvalReport.from_json(raw))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
     print(evaluation.render_reports(reports), end="")
     return EXIT_OK
 

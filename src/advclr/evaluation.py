@@ -53,16 +53,31 @@ class EvalReport:
 
     @staticmethod
     def from_dict(d: dict) -> "EvalReport":
-        return EvalReport(d["model_id"], d["clean_accuracy"],
-                          [EvalCell(**c) for c in d["cells"]],
-                          d["seed"], d.get("timestamp", ""))
+        """Rebuild a report; a missing or malformed field raises DataError."""
+        try:
+            rep = EvalReport(d["model_id"], d["clean_accuracy"],
+                             [EvalCell(**c) for c in d["cells"]],
+                             d["seed"], d.get("timestamp", ""))
+        except KeyError as exc:
+            raise DataError(f"report has no {exc} field") from None
+        except TypeError as exc:
+            raise DataError(f"malformed report: {exc}") from None
+        numbers = [rep.clean_accuracy] + [v for c in rep.cells
+                                          for v in (c.epsilon, c.robust_accuracy)]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers):
+            raise DataError("malformed report: accuracies and epsilons must be numbers")
+        return rep
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     @staticmethod
-    def from_json(text: str) -> "EvalReport":
-        return EvalReport.from_dict(json.loads(text))
+    def from_json(text: str | bytes) -> "EvalReport":
+        try:
+            d = json.loads(text)
+        except ValueError as exc:     # not JSON, or bytes that are not UTF-8
+            raise DataError(f"report is not JSON: {exc}") from None
+        return EvalReport.from_dict(d)
 
 
 def _check_model_dataset(params: ModelParams, dataset: Dataset):

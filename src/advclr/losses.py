@@ -91,19 +91,7 @@ def cross_entropy_terms(logits, labels) -> Tensor:
 
     Shape (B,); the ``supervised_ce`` attack objective ascends these terms.
     """
-    lt = _as_tensor(logits)
-    y = np.asarray(labels)
-    if lt.ndim != 2:
-        raise T.ShapeError(f"cross_entropy: logits must be 2-d, got {lt.shape}")
-    b, c = lt.shape
-    if y.shape != (b,):
-        raise T.ShapeError(f"cross_entropy: labels shape {y.shape} != ({b},)")
-    if y.size and (y.min() < 0 or y.max() >= c):
-        raise ValueError(f"cross_entropy: label out of range [0, {c})")
-    onehot = np.zeros((b, c), dtype=lt.data.dtype)
-    onehot[np.arange(b), y] = 1.0
-    logp = T.log_softmax(lt)
-    return T.neg(T.mul(logp, T.constant(onehot)).sum(axis=1))
+    return T.softmax_cross_entropy(_as_tensor(logits), labels)
 
 
 def cross_entropy(logits, labels) -> Tensor:

@@ -468,17 +468,39 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
                    [(x, lambda g: g), (b, lambda g: g.sum(axis=0))])
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    """Row-wise log of softmax probabilities for a (batch, classes) input."""
-    if x.ndim != 2:
-        raise ShapeError(f"log_softmax: expected 2-d input, got {x.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    out = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+def softmax_cross_entropy_rows(logits: np.ndarray, labels) -> tuple[np.ndarray, Callable]:
+    """Per-row softmax cross-entropy of (batch, classes) logits at integer labels.
+
+    Plain numpy: returns the (batch,) losses ``-log softmax(logits)[i, y_i]``
+    and a pull that maps a (batch,) upstream gradient ``g`` to the logits'
+    gradient ``-g*onehot + softmax*g``.
+    """
+    y = np.asarray(labels)
+    if logits.ndim != 2:
+        raise ShapeError(f"cross_entropy: logits must be 2-d, got {logits.shape}")
+    b, c = logits.shape
+    if y.shape != (b,):
+        raise ShapeError(f"cross_entropy: labels shape {y.shape} != ({b},)")
+    if y.size and (y.min() < 0 or y.max() >= c):
+        raise ValueError(f"cross_entropy: label out of range [0, {c})")
+    onehot = np.zeros((b, c), dtype=logits.dtype)
+    onehot[np.arange(b), y] = 1.0
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
     def pull(g):
-        return g - np.exp(out) * g.sum(axis=1, keepdims=True)
+        # op for op the log-softmax -> one-hot pick -> negate chain's gradient,
+        # so the bits equal that chain's
+        neg_g = (-g)[:, None]
+        return neg_g * onehot - np.exp(logp) * neg_g
 
-    return _result("log_softmax", out, [(x, pull)])
+    return -(logp * onehot).sum(axis=1), pull
+
+
+def softmax_cross_entropy(x: Tensor, labels) -> Tensor:
+    """:func:`softmax_cross_entropy_rows` as one tape node, shape (batch,)."""
+    terms, pull = softmax_cross_entropy_rows(x.data, labels)
+    return _result("softmax_cross_entropy", terms, [(x, pull)])
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:

@@ -1,7 +1,8 @@
 """Training loops: adversarial-contrastive pretraining, linear-probe
 fine-tuning, a plain cross-entropy baseline, and the optimizers behind them.
-The three loops share one epoch driver; each supplies its per-batch loss and
-names the weights it trains.
+The three loops share one epoch driver; each supplies its per-batch step.
+ACT and the baseline record their loss on a tape over the weights they name;
+the linear probe computes its gradient in closed form.
 
 All loops are deterministic for a fixed (dataset, spec, config, seed): every
 random decision (shuffling, augmentation, attack starts) is drawn from child
@@ -146,8 +147,10 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
             raise T.ShapeError(f"adam step: gradient {g.shape} != param "
                                f"{p.shape} for {name!r}")
         g = g.astype(np.float32)
-        m = state.setdefault("m", {}).get(name, np.zeros_like(p))
-        v = state.setdefault("v", {}).get(name, np.zeros_like(p))
+        m = state.setdefault("m", {}).get(name)
+        v = state.setdefault("v", {}).get(name)
+        if m is None:
+            m = v = np.zeros_like(p)
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
         state["m"][name] = m
@@ -163,14 +166,15 @@ def _loss_guard(value: float, epoch: int, batch_idx: int) -> float:
     return value
 
 
-def _descend(params: ModelParams, trains: tuple[str, ...], n: int, batch_size: int,
-             shuffle_seeds, batch_loss, lr_at, update) -> Iterator[EpochRecord]:
-    """Descend ``batch_loss(idx, leaves)`` over ``n`` rows, one epoch per seed.
+def _descend(params: ModelParams, n: int, batch_size: int, shuffle_seeds,
+             batch_step, lr_at, update) -> Iterator[EpochRecord]:
+    """Descend over ``n`` rows, one epoch per seed.
 
-    Only the weights whose names start with one of ``trains`` are lifted as
-    gradient leaves, so only they are updated; ``update(params, grads, state,
-    lr)`` steps them at ``lr_at(step)``. Yields each epoch's record, whose lr
-    is its last step's.
+    ``batch_step(idx)`` returns the batch's loss and a callable that returns
+    the gradients of the weights it trains, by name; that callable runs only
+    once the loss is known to be finite. ``update(params, grads, state, lr)``
+    steps those weights at ``lr_at(step)``. Yields each epoch's record, whose
+    lr is its last step's.
     """
     state: dict = {}
     step = 0
@@ -178,17 +182,32 @@ def _descend(params: ModelParams, trains: tuple[str, ...], n: int, batch_size: i
         t0 = time.monotonic()
         epoch_losses = []
         for batch_idx, idx in enumerate(data.batch_iter(n, batch_size, int(seed))):
-            tape = T.Tape()
-            leaves = {name: tape.leaf(arr, requires_grad=True, dtype=np.float32)
-                      for name, arr in params.arrays.items() if name.startswith(trains)}
-            loss = batch_loss(idx, leaves)
-            epoch_losses.append(_loss_guard(float(loss.data), epoch, batch_idx))
-            grads = tape.backward(loss)
+            loss, grads = batch_step(idx)
+            epoch_losses.append(_loss_guard(loss, epoch, batch_idx))
             lr = lr_at(step)
-            update(params, {name: grads[t.handle] for name, t in leaves.items()},
-                   state, lr)
+            update(params, grads(), state, lr)
             step += 1
         yield EpochRecord(epoch, float(np.mean(epoch_losses)), lr, time.monotonic() - t0)
+
+
+def _on_tape(params: ModelParams, trains: tuple[str, ...], batch_loss):
+    """A ``batch_step`` for :func:`_descend` that records ``batch_loss(idx,
+    leaves)`` on a fresh tape. Only the weights whose names start with one of
+    ``trains`` are lifted as gradient leaves, so only they are updated.
+    """
+    def batch_step(idx):
+        tape = T.Tape()
+        leaves = {name: tape.leaf(arr, requires_grad=True, dtype=np.float32)
+                  for name, arr in params.arrays.items() if name.startswith(trains)}
+        loss = batch_loss(idx, leaves)
+
+        def grads():
+            by_handle = tape.backward(loss)
+            return {name: by_handle[t.handle] for name, t in leaves.items()}
+
+        return float(loss.data), grads
+
+    return batch_step
 
 
 def _momentum_on_cosine(cfg: SupervisedConfig, n: int):
@@ -277,8 +296,8 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
                                         for i in range(3)), cfg.tau)
 
     log = TrainLog()
-    for record in _descend(params, ("encoder.", "proj."), len(dataset), cfg.batch_size,
-                           shuffle_seeds, batch_loss,
+    for record in _descend(params, len(dataset), cfg.batch_size, shuffle_seeds,
+                           _on_tape(params, ("encoder.", "proj."), batch_loss),
                            *_momentum_on_cosine(cfg, len(dataset))):
         if views != [len(dataset)] * 2:
             raise AssertionError(f"view accounting broke at epoch {record.epoch}: "
@@ -298,7 +317,8 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
 
 def finetune(dataset: Dataset, checkpoint, num_classes: int,
              cfg: FinetuneConfig) -> tuple[ModelParams, TrainLog]:
-    """Train a linear probe on frozen encoder features with Adam.
+    """Train a linear probe on frozen encoder features with Adam, each step's
+    gradient in closed form.
 
     The projection head is dropped from the forward path; the classifier is
     re-initialized from cfg.seed and attached directly to encoder output.
@@ -324,12 +344,21 @@ def finetune(dataset: Dataset, checkpoint, num_classes: int,
     emb_all = embed_dataset(params, dataset)
     shuffle_seeds = rng.integers(0, 2 ** 31, size=cfg.epochs)
 
-    def batch_loss(idx, leaves):
-        logits = models.classify(params, emb_all[idx], lifted=leaves)
-        return losses.cross_entropy(logits, dataset.labels[idx])
+    def batch_step(idx):
+        # the probe is affine, so its step needs no tape: these are the ops
+        # models.classify, losses.cross_entropy and their pulls would run
+        emb = emb_all[idx]
+        logits = emb @ params.arrays["classifier.w"] + params.arrays["classifier.b"]
+        terms, pull = T.softmax_cross_entropy_rows(logits, dataset.labels[idx])
 
-    records = _descend(params, ("classifier.",), len(dataset), cfg.batch_size,
-                       shuffle_seeds, batch_loss, lambda step: cfg.lr, adam_step)
+        def grads():
+            dlogits = pull(np.ones(len(terms), np.float32) / len(terms))   # the mean's pull
+            return {"classifier.w": emb.T @ dlogits, "classifier.b": dlogits.sum(axis=0)}
+
+        return float(terms.mean()), grads
+
+    records = _descend(params, len(dataset), cfg.batch_size, shuffle_seeds,
+                       batch_step, lambda step: cfg.lr, adam_step)
     return params, TrainLog(list(records))
 
 
@@ -348,8 +377,9 @@ def supervised_train(dataset: Dataset, spec: models.EncoderSpec,
         logits = models.classify(params, emb, lifted=leaves)
         return losses.cross_entropy(logits, dataset.labels[idx])
 
-    records = _descend(params, ("encoder.", "classifier."), len(dataset), cfg.batch_size,
-                       shuffle_seeds, batch_loss, *_momentum_on_cosine(cfg, len(dataset)))
+    records = _descend(params, len(dataset), cfg.batch_size, shuffle_seeds,
+                       _on_tape(params, ("encoder.", "classifier."), batch_loss),
+                       *_momentum_on_cosine(cfg, len(dataset)))
     return params, TrainLog(list(records))
 
 

@@ -74,3 +74,52 @@ def lift_from_vector(theta: Tensor, params: ModelParams) -> dict[str, Tensor]:
         raise T.ShapeError(f"packed vector has {theta.data.size} entries, "
                            f"weights need {offset}")
     return lifted
+
+
+# --- composed cross-entropy and tape-stepped probe (oracles for the fused
+# cross-entropy op and finetune's closed-form step) -------------------------
+
+
+def log_softmax(x: Tensor) -> Tensor:
+    """Row-wise log-softmax of a (batch, classes) input as its own tape node."""
+    z = x.data - x.data.max(axis=1, keepdims=True)
+    out = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return T._result("log_softmax", out,
+                     [(x, lambda g: g - np.exp(out) * g.sum(axis=1, keepdims=True))])
+
+
+def composed_cross_entropy_terms(logits: Tensor, labels) -> Tensor:
+    """Per-row cross-entropy as log-softmax, a one-hot pick and a negation."""
+    onehot = np.zeros(logits.shape, dtype=logits.dtype)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    return T.neg(T.mul(log_softmax(logits), T.constant(onehot)).sum(axis=1))
+
+
+def tape_finetune(dataset, encoder: ModelParams, cfg: training.FinetuneConfig):
+    """``training.finetune`` with every Adam step taken through a tape over
+    classify's matmul and bias ops and the composed cross-entropy.
+
+    Returns the classifier arrays and the epoch losses.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    params = encoder.copy()
+    emb_dim, classes = params.spec.embedding_dim, dataset.num_classes
+    params.arrays["classifier.w"] = (
+        rng.standard_normal((emb_dim, classes)) * np.sqrt(2.0 / emb_dim)).astype(np.float32)
+    params.arrays["classifier.b"] = np.zeros(classes, dtype=np.float32)
+    emb_all = training.embed_dataset(params, dataset)
+    state, epoch_losses = {}, []
+    for seed in rng.integers(0, 2 ** 31, size=cfg.epochs):
+        batch_losses = []
+        for idx in data.batch_iter(len(dataset), cfg.batch_size, int(seed)):
+            tape = T.Tape()
+            w = tape.leaf(params.arrays["classifier.w"], requires_grad=True)
+            b = tape.leaf(params.arrays["classifier.b"], requires_grad=True)
+            logits = T.bias_add(T.matmul(T.constant(emb_all[idx]), w), b)
+            loss = composed_cross_entropy_terms(logits, dataset.labels[idx]).mean()
+            batch_losses.append(float(loss.data))
+            grads = tape.backward(loss)
+            training.adam_step(params, {"classifier.w": grads[w.handle],
+                                        "classifier.b": grads[b.handle]}, state, cfg.lr)
+        epoch_losses.append(float(np.mean(batch_losses)))
+    return {name: params.arrays[name] for name in ("classifier.w", "classifier.b")}, epoch_losses

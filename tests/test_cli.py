@@ -217,6 +217,24 @@ def test_bad_checkpoint_is_data_error(cfg_file, tmp_path, capsys, damage):
     assert str(ckpt) in capsys.readouterr().err
 
 
+BAD_REPORTS = {
+    "truncated-json": b"{",
+    "missing-field": b'{"model_id": "m"}',
+    "partial-cell": b'{"model_id": "m", "clean_accuracy": 0.5, "seed": 0, '
+                    b'"cells": [{"attack": "pgd"}]}',
+    "text-accuracy": b'{"model_id": "m", "clean_accuracy": "high", "seed": 0, "cells": []}',
+    "not-utf8": b'{"model_id": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("content", BAD_REPORTS.values(), ids=BAD_REPORTS)
+def test_bad_report_file_is_data_error(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    path.write_bytes(content)
+    assert cli.main(["report", "--report", str(path)]) == EXIT_DATA
+    assert str(path) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["finetune", "evaluate"])
 def test_checkpoint_class_mismatch_is_data_error(cfg_file, tmp_path, capsys, command):
     # TINY_CFG has 4 classes; the checkpoint's classifier has 5

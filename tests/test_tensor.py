@@ -9,6 +9,7 @@ import pytest
 
 from advclr import tensor as T
 from advclr.tensor import NumericError, ShapeError, Tape, constant
+from conftest import composed_cross_entropy_terms
 
 
 def leaf(arr, tape=None):
@@ -154,7 +155,7 @@ class TestBackward:
             x = tape.leaf(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
             w = tape.leaf(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
             h = T.global_avg_pool(T.max_pool2(T.relu(T.conv2d(x, w))))
-            loss = T.neg(T.log_softmax(h).sum())
+            loss = T.softmax_cross_entropy(h, [0, 2]).sum()
             grads = tape.backward(loss)
             assert set(grads) == {x.handle, w.handle}
             ref = weakref.ref(tape)
@@ -250,7 +251,7 @@ OP_CASES = [
      lambda t, c: T.channel_norm(c[0], t, c[1], (c[2].data, c[3].data ** 2 + 0.5))[0],
      [(3,), (2, 3, 4, 4), (3,), (3,), (3,)]),
     ("bias_add", lambda t, c: T.bias_add(c[0], t), [(4,), (3, 4)]),
-    ("log_softmax", lambda t, c: T.log_softmax(t), [(4, 6)]),
+    ("softmax_cross_entropy", lambda t, c: T.softmax_cross_entropy(t, [3, 0, 3, 5]), [(4, 6)]),
     ("l2_normalize", lambda t, c: T.l2_normalize(T.add(t, 2.0)), [(3, 5)]),
     ("rowmax", lambda t, c: T.rowmax(t), [(4, 6)]),
 ]
@@ -290,3 +291,23 @@ def test_every_op_has_a_finite_difference_case(monkeypatch):
         build(constant(_away_from_kinks(rng, shapes[0])),
               [constant(_away_from_kinks(rng, s)) for s in shapes[1:]])
     assert sorted(set(public) - called) == []
+
+
+@pytest.mark.parametrize("upstream", ["mean", "weighted"])
+def test_softmax_cross_entropy_equals_composed_ops_bitwise(upstream):
+    # float32 logits with saturating +-80 entries and repeated labels: the
+    # fused node must give the composed log-softmax graph's bits exactly
+    rng = np.random.default_rng(21)
+    logits = rng.normal(scale=4.0, size=(9, 7)).astype(np.float32)
+    logits[0, 2], logits[1, :] = 80.0, -80.0
+    logits[2, 5], logits[2, 1] = 80.0, -80.0
+    labels = np.array([2, 2, 1, 6, 2, 0, 6, 6, 3])
+    weight = constant(rng.normal(size=9).astype(np.float32))
+    results = []
+    for terms_of in (T.softmax_cross_entropy, composed_cross_entropy_terms):
+        tape = Tape()
+        x = tape.leaf(logits, requires_grad=True)
+        terms = terms_of(x, labels)
+        loss = terms.mean() if upstream == "mean" else T.mul(terms, weight).sum()
+        results.append((terms.data.tobytes(), tape.backward(loss)[x.handle].tobytes()))
+    assert results[0] == results[1]

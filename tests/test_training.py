@@ -15,6 +15,7 @@ from advclr.tensor import NumericError, ShapeError
 from advclr.training import (EpochRecord, FinetuneConfig, PretrainConfig,
                              SupervisedConfig, TrainLog, adam_step, cosine_lr,
                              sgd_momentum_step)
+from conftest import tape_finetune
 
 SPEC = A.EncoderSpec("toy_conv", (4, 6, 8))
 
@@ -309,6 +310,17 @@ class TestFinetune:
         empty = data.make_synthetic(4, 0, 8, seed=0)
         with pytest.raises(data.DataError):
             training.finetune(empty, tiny_params(), 4, FinetuneConfig(epochs=1))
+
+    @pytest.mark.parametrize("per_class,batch_size", [(25, 32), (3, 1), (10, 128)],
+                             ids=["ragged-last-batch", "batch-of-one", "one-batch"])
+    def test_closed_form_step_equals_tape_step_bitwise(self, per_class, batch_size):
+        ds = data.make_synthetic(4, per_class, 8, seed=1)
+        cfg = FinetuneConfig(epochs=3, batch_size=batch_size, lr=0.01, seed=5)
+        probe, log = training.finetune(ds, tiny_params(), 4, cfg)
+        arrays, epoch_losses = tape_finetune(ds, tiny_params(), cfg)
+        for name, arr in arrays.items():
+            assert probe.arrays[name].tobytes() == arr.tobytes(), name
+        assert [r.loss for r in log.records] == epoch_losses
 
     def test_accepts_checkpoint_path(self, tmp_path, toy_data, toy_act):
         train, _ = toy_data
