@@ -8,8 +8,8 @@ sample's best visited iterate (start point included). For FGSM,
 :class:`AttackConfig` fixes one step of size epsilon and no random start.
 ``DEFAULT_OBJECTIVES`` gives each kind's objective when ``cfg.objective`` is
 unset. ``fgsm``, ``pgd`` and ``cw`` are aliases of ``run_attack``. A random
-start draws :func:`start_draws` uniform doubles from ``context.rng``, one per
-input value, and the attack draws nothing else.
+start draws one uniform double per input value from ``context.rng``, and the
+attack draws nothing else.
 
 Under a supervised objective the clean input also counts as visited, and a
 sample leaves the attack at the first visited point the model misclassifies:
@@ -31,7 +31,6 @@ Objectives (all "ascend to attack"):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,11 +91,6 @@ class AttackContext:
     fooled: np.ndarray | None = None        # (B,) bool, set by a supervised attack
 
 
-def start_draws(cfg: AttackConfig, shape) -> int:
-    """How many values ``cfg``'s random start draws for an input of ``shape``."""
-    return math.prod(shape) if cfg.random_start and cfg.epsilon > 0 else 0
-
-
 def project_linf(x_adv: np.ndarray, x_ref: np.ndarray,
                  epsilon: float) -> np.ndarray:
     """Clamp into the eps-ball around x_ref, then into the [0, 1] pixel range."""
@@ -143,7 +137,7 @@ def _objective_graph(params: models.ModelParams, x: Tensor, mode: str,
         logits = models.classify(params, models.encode(params, x))
         wrong = logits.data.argmax(axis=1) != labels
         if mode == "supervised_ce":
-            per = losses.cross_entropy_terms(logits, labels)
+            per = T.softmax_cross_entropy(logits, labels)
             return per.mean(), per.data, wrong
         onehot = np.zeros(logits.shape)
         onehot[np.arange(b), labels] = 1.0
@@ -206,7 +200,7 @@ def run_attack(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
     # the active rows' batch positions, context and iterate
     rows, ctx, cur = np.arange(len(x)), context, x
     fooled = np.zeros(len(x), dtype=bool)
-    if start_draws(cfg, x.shape):
+    if cfg.random_start and cfg.epsilon > 0:
         rng = context.rng if context.rng is not None else np.random.default_rng()
         if labels is not None:      # the clean input counts as visited
             _, _, fooled = _eval_objective(model, x, mode, ctx, cfg.kappa,

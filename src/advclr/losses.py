@@ -55,7 +55,7 @@ def info_nce_terms(anchors, positives, pool, exclude,
     s_neg = T.matmul(anchors, T.transpose(pool)) * inv_t                   # (B, P)
     mask = np.where(exclude, MASK_VALUE, 0.0).astype(anchors.data.dtype)
     logits = T.concat([s_pos, T.add(s_neg, T.constant(mask))], axis=1)
-    return cross_entropy_terms(logits, np.zeros(b, dtype=int))   # class 0: the positive
+    return T.softmax_cross_entropy(logits, np.zeros(b, dtype=int))   # class 0: the positive
 
 
 def info_nce(anchors, positives, pool, exclude, temperature: float = 0.1) -> Tensor:
@@ -86,14 +86,6 @@ def adv_contrastive(z_orig, z_pgd, z_cw, temperature: float = 0.1) -> Tensor:
     return T.mul(T.add(first, second), 0.5)
 
 
-def cross_entropy_terms(logits, labels) -> Tensor:
-    """Per-row negative log-likelihood of integer labels under softmax logits.
-
-    Shape (B,); the ``supervised_ce`` attack objective ascends these terms.
-    """
-    return T.softmax_cross_entropy(_as_tensor(logits), labels)
-
-
 def cross_entropy(logits, labels) -> Tensor:
-    """:func:`cross_entropy_terms` averaged over rows."""
-    return cross_entropy_terms(logits, labels).mean()
+    """Mean negative log-likelihood of integer labels under softmax logits."""
+    return T.softmax_cross_entropy(_as_tensor(logits), labels).mean()

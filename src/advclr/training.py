@@ -12,7 +12,6 @@ weights.
 
 from __future__ import annotations
 
-import copy
 import ctypes
 import glob
 import json
@@ -256,15 +255,15 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
     the (clean, PGD, CW) projections with momentum SGD on a cosine schedule.
 
     When :func:`view_threads` allows it, a worker thread makes the CW view
-    while this thread makes the PGD view. Either way the CW view draws
-    its random start from a copy of the attack generator advanced past the
-    PGD view's draw, which then hands its end state back, so the weights are
-    bitwise those of making the views one after the other.
+    while this thread makes the PGD view. Each view draws its random start
+    from a generator of its own, so the weights are bitwise those of making
+    the views one after the other.
     """
-    seeds = np.random.SeedSequence(cfg.seed).spawn(3)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
     aug_rng = np.random.default_rng(seeds[0])
-    attack_rng = np.random.default_rng(seeds[1])
+    pgd_rng = np.random.default_rng(seeds[1])
     shuffle_seeds = np.random.default_rng(seeds[2]).integers(0, 2 ** 31, size=cfg.epochs)
+    cw_rng = np.random.default_rng(seeds[3])
     params = models.init_params(spec, dataset.num_classes, cfg.seed, proj_dim)
     views = [0, 0]      # PGD and CW views made this epoch
     two_threads = view_threads()
@@ -272,9 +271,8 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
     def batch_loss(idx, leaves):
         x_aug = data.augment_batch(dataset.images[idx], cfg.augment, aug_rng)
         z_ref = models.project(params, models.encode(params, x_aug)).data
-        pgd_ctx = AttackContext(reference=z_ref, temperature=cfg.tau, rng=attack_rng)
-        cw_ctx = replace(pgd_ctx, rng=copy.deepcopy(attack_rng))
-        cw_ctx.rng.bit_generator.advance(attacks.start_draws(cfg.pgd_view, x_aug.shape))
+        pgd_ctx = AttackContext(reference=z_ref, temperature=cfg.tau, rng=pgd_rng)
+        cw_ctx = replace(pgd_ctx, rng=cw_rng)
         cw_args = (params, x_aug, cfg.cw_view, cw_ctx)
         if two_threads:
             # leaving the block joins the worker, also when the PGD view raised
@@ -285,7 +283,6 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
         else:
             x_pgd = attacks.pgd(params, x_aug, cfg.pgd_view, pgd_ctx)
             x_cw = attacks.cw(*cw_args)
-        attack_rng.bit_generator.state = cw_ctx.rng.bit_generator.state
         views[0] += len(x_pgd)
         views[1] += len(x_cw)
         emb = models.encode(params, np.concatenate([x_aug, x_pgd, x_cw]),

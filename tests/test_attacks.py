@@ -391,6 +391,11 @@ def test_correct_after_attack_only_if_correct_at_every_visited_point(
     np.testing.assert_array_equal(adv_ok, clean_ok & ~ever_wrong)
     # the engine's own verdict is the same fact, with no forward of its own
     np.testing.assert_array_equal(ctx.fooled, ~adv_ok)
+    # and it belongs to the returned point, not to the batch it was scored
+    # in: a batch-of-one forward misclassifies every fooled row
+    kept_alone = [int(i) for i in np.flatnonzero(ctx.fooled)
+                  if models.logits_for(toy_baseline, x_adv[i:i + 1]).argmax() == labels[i]]
+    assert kept_alone == []
 
 
 @pytest.mark.parametrize("supervised", [True, False], ids=["labels", "reference"])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,12 +236,31 @@ class TestViewThreads:
             monkeypatch.undo()
         assert runs[1] == runs[2]
         assert all(r[3:] == (len(ds), len(ds)) for r in runs[1][1])
-        # the generator ends where one stream of every start draw would
-        draws = sum(attacks.start_draws(view, ds.images.shape)
-                    for view in (cfg.pgd_view, cfg.cw_view))
-        expected = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[1])
-        expected.bit_generator.advance(cfg.epochs * draws)
-        assert runs[1][2] == expected.bit_generator.state
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_cw_view_draws_do_not_depend_on_the_pgd_view(self, monkeypatch, cpus):
+        # each view owns a child generator of the seed, so the CW view's
+        # start draws are the same whether the PGD view draws a start or not
+        ds = small_dataset()
+        states = {}
+        for random_start in (True, False):
+            cfg = fast_pretrain_cfg(2)
+            cfg.pgd_view = replace(cfg.pgd_view, random_start=random_start)
+            _cpus(monkeypatch, cpus)
+            seen = []
+
+            def spy(model, x, view, ctx, _fn=attacks.cw):
+                seen.append(ctx.rng.bit_generator.state)
+                return _fn(model, x, view, ctx)
+
+            monkeypatch.setattr(attacks, "cw", spy)
+            training.act_pretrain(ds, SPEC, cfg, proj_dim=8)
+            monkeypatch.undo()
+            states[random_start] = seen
+        assert len(states[True]) == 2 * 2     # 2 epochs of 2 batches
+        assert states[True] == states[False]
+        cw_child = np.random.SeedSequence(cfg.seed).spawn(4)[3]
+        assert states[True][0] == np.random.default_rng(cw_child).bit_generator.state
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failing_cw_view_is_raised(self, monkeypatch, cpus):
