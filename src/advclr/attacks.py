@@ -18,6 +18,16 @@ never misclassified get the return rule above. ``context.fooled`` receives
 the verdict: true for exactly the samples that left, which are exactly the
 samples whose returned point the model misclassifies.
 
+``context.clean``, when set, is the caller's evaluation of the unperturbed
+batch ``x`` (as float32) under the attack's objective and kappa: the
+``(per-row objective, input gradient or None, misclassified rows)`` triple of
+``_eval_objective``. The engine reads it, and never writes it, in place of
+its own evaluation of ``x``: the clean pass before a random start, and the
+first evaluation of an attack without one (which needs the gradient; a
+triple without it serves the clean pass only). Many attacks on one batch can
+so share one clean evaluation, and the outputs are bitwise those of an
+attack that makes its own.
+
 Objectives (all "ascend to attack"):
 
 * ``supervised_ce``        mean cross-entropy against the true labels
@@ -89,6 +99,7 @@ class AttackContext:
     temperature: float = 0.1
     rng: np.random.Generator | None = None  # drives the optional random start
     fooled: np.ndarray | None = None        # (B,) bool, set by a supervised attack
+    clean: tuple | None = None              # read-only evaluation of x; module doc
 
 
 def project_linf(x_adv: np.ndarray, x_ref: np.ndarray,
@@ -200,11 +211,13 @@ def run_attack(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
     # the active rows' batch positions, context and iterate
     rows, ctx, cur = np.arange(len(x)), context, x
     fooled = np.zeros(len(x), dtype=bool)
+    clean = context.clean
     if cfg.random_start and cfg.epsilon > 0:
         rng = context.rng if context.rng is not None else np.random.default_rng()
         if labels is not None:      # the clean input counts as visited
-            _, _, fooled = _eval_objective(model, x, mode, ctx, cfg.kappa,
-                                           want_grad=False)
+            _, _, wrong = clean or _eval_objective(model, x, mode, ctx, cfg.kappa,
+                                                   want_grad=False)
+            fooled |= wrong         # a copy: the loop below writes fooled
             rows = np.flatnonzero(~fooled)
             ctx = replace(context, labels=labels[rows])
         # drawn for the whole batch, so the stream does not depend on who left
@@ -220,8 +233,11 @@ def run_attack(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
             break
         # the last evaluation only scores the final iterate, so needs no gradient
         stepping = i < cfg.num_steps
-        per, grad, wrong = _eval_objective(model, cur, mode, ctx, cfg.kappa,
-                                           want_grad=stepping)
+        if cur is x and clean is not None and clean[1] is not None:
+            per, grad, wrong = clean
+        else:
+            per, grad, wrong = _eval_objective(model, cur, mode, ctx, cfg.kappa,
+                                               want_grad=stepping)
         if out is None:
             out = x.copy()
         if labels is not None and wrong.any():

@@ -5,7 +5,18 @@ pair. A cell's robust accuracy is the fraction of samples that are
 clean-correct and have no visited point misclassified. ``attacks.run_attack``
 already classifies every point it visits, the clean input included, and
 writes each sample's verdict into its context as ``fooled``; the cell counts
-the samples not fooled and runs no forward of its own. Reports
+the samples not fooled and runs no forward of its own.
+
+``eval_table`` sweeps batch-major: batches in the outer loop, cells in the
+inner one, each cell drawing from its own generator so that its random
+stream is the one it would draw alone. For each batch it evaluates the clean
+input once per distinct (objective, kappa) among the cells, with the input
+gradient when some cell of that key steps from the clean input. That
+evaluation's misclassified rows give the clean accuracy, and every cell's
+attack reads it as ``context.clean`` in place of evaluating the batch again.
+The batch and the shared evaluation are marked read-only, so an attack that
+wrote into them would raise instead of corrupting the next cell.
+``robust_accuracy`` is the one-attack case of the same sweep. Reports
 serialize to JSON (round-trip safe) and project to a flat CSV with columns
 model, attack, epsilon, accuracy.
 """
@@ -104,42 +115,70 @@ def clean_accuracy(model: ModelParams, dataset: Dataset,
 def robust_accuracy(model: ModelParams, dataset: Dataset, attack: AttackConfig,
                     seed: int = 0, batch_size: int = 256) -> float:
     """Fraction of samples clean-correct with no visited point misclassified."""
-    _check_model_dataset(model, dataset)
-    objective = attacks.objective_for(attack, supervised=True)
-    if not objective.startswith("supervised"):
-        raise ValueError(f"evaluation attacks need a supervised objective, "
-                         f"got {objective!r}")
-    rng = np.random.default_rng(seed)
-    correct = 0
-    for start in range(0, len(dataset), batch_size):
-        images = dataset.images[start:start + batch_size]
-        labels = dataset.labels[start:start + batch_size]
-        ctx = AttackContext(labels=labels, rng=rng)
-        attacks.run_attack(model, images, attack, ctx)
-        correct += int((~ctx.fooled).sum())
+    _, (correct,) = _sweep(model, dataset, [(attack, seed)], batch_size)
     return correct / len(dataset)
+
+
+def _read_only(arr):
+    if arr is not None:
+        arr.flags.writeable = False
+    return arr
+
+
+def _sweep(model: ModelParams, dataset: Dataset,
+           cells: Sequence[tuple[AttackConfig, int]],
+           batch_size: int) -> tuple[int, list[int]]:
+    """Clean-correct count and each (attack, seed) cell's robust count, swept
+    batch-major over one shared clean evaluation per batch and key."""
+    _check_model_dataset(model, dataset)
+    # (objective, kappa) -> whether some cell of the key steps from the clean input
+    keys, cell_keys = {}, []
+    for cfg, _ in cells:
+        objective = attacks.objective_for(cfg, supervised=True)
+        if not objective.startswith("supervised"):
+            raise ValueError(f"evaluation attacks need a supervised objective, "
+                             f"got {objective!r}")
+        key = (objective, cfg.kappa)
+        keys[key] = keys.get(key, False) or not (cfg.random_start and cfg.epsilon > 0)
+        cell_keys.append(key)
+    rngs = [np.random.default_rng(seed) for _, seed in cells]
+    clean_correct, robust = 0, [0] * len(cells)
+    for start in range(0, len(dataset), batch_size):
+        images = _read_only(np.asarray(dataset.images[start:start + batch_size],
+                                       dtype=np.float32))
+        labels = _read_only(np.asarray(dataset.labels[start:start + batch_size]))
+        ctx = AttackContext(labels=labels)
+        clean = {key: tuple(map(_read_only, attacks._eval_objective(
+                     model, images, key[0], ctx, key[1], want_grad=grad)))
+                 for key, grad in keys.items()}
+        clean_correct += int((~next(iter(clean.values()))[2]).sum())
+        for j, (cfg, _) in enumerate(cells):
+            ctx = AttackContext(labels=labels, rng=rngs[j], clean=clean[cell_keys[j]])
+            attacks.run_attack(model, images, cfg, ctx)
+            robust[j] += int((~ctx.fooled).sum())
+    return clean_correct, robust
 
 
 def eval_table(model_list: Sequence[tuple[str, ModelParams]],
                attack_list: Sequence[AttackConfig], dataset: Dataset,
                seed: int = 0, batch_size: int = 256) -> list[EvalReport]:
-    """Evaluate every model against every attack config; one report per model."""
+    """Evaluate every model against every attack config; one report per model.
+
+    Every model is checked against the dataset before any is attacked."""
     if not model_list or not attack_list:
         raise ValueError("eval_table needs at least one model and one attack")
+    for _, params in model_list:
+        _check_model_dataset(params, dataset)
+    cells = [(cfg, seed * 100003 + i) for i, cfg in enumerate(attack_list)]
     reports = []
     for model_id, params in model_list:
-        cells = []
-        for i, cfg in enumerate(attack_list):
-            objective = attacks.objective_for(cfg, supervised=True)
-            cell_seed = seed * 100003 + i
-            acc = robust_accuracy(params, dataset, cfg, seed=cell_seed,
-                                  batch_size=batch_size)
-            cells.append(EvalCell(cfg.kind, cfg.epsilon, objective, acc,
-                                  len(dataset)))
-        reports.append(EvalReport(model_id, clean_accuracy(params, dataset,
-                                                           batch_size),
-                                  cells, seed,
-                                  datetime.now(timezone.utc).isoformat()))
+        clean_correct, robust = _sweep(params, dataset, cells, batch_size)
+        report_cells = [EvalCell(cfg.kind, cfg.epsilon,
+                                 attacks.objective_for(cfg, supervised=True),
+                                 correct / len(dataset), len(dataset))
+                        for (cfg, _), correct in zip(cells, robust)]
+        reports.append(EvalReport(model_id, clean_correct / len(dataset), report_cells,
+                                  seed, datetime.now(timezone.utc).isoformat()))
     return reports
 
 

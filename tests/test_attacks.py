@@ -419,6 +419,41 @@ def test_one_engine_reads_the_objective_table(kind, supervised):
         np.testing.assert_array_equal(getattr(attacks, name)(params, x, cfg, ctx), expected)
 
 
+@pytest.mark.parametrize("kind, random_start",
+                         [("fgsm", False), ("pgd", False), ("pgd", True), ("cw", False)])
+def test_read_only_inputs_and_a_shared_clean_evaluation(kind, random_start, monkeypatch):
+    # the engine writes none of its inputs, and a caller's clean evaluation
+    # stands in for its own evaluation of x with the same outputs
+    params = small_model()
+    x = images(np.random.default_rng(19), 6)
+    labels = models.logits_for(params, x).argmax(axis=1)
+    labels[0] = (labels[0] + 1) % 4           # row 0 is clean-misclassified
+    cfg = AttackConfig(kind, 0.05, num_steps=3, random_start=random_start)
+    ref = AttackContext(labels=labels.copy(), rng=np.random.default_rng(2))
+    expected = attacks.run_attack(params, x.copy(), cfg, ref)
+    assert ref.fooled[0] and not ref.fooled.all()
+    clean = attacks._eval_objective(params, x, attacks.objective_for(cfg, True),
+                                    AttackContext(labels=labels), cfg.kappa,
+                                    want_grad=not random_start)
+    for arr in (x, labels, *clean):
+        if arr is not None:
+            arr.flags.writeable = False
+    real, evaluations = attacks._eval_objective, []
+
+    def spy(*args, **kwargs):
+        evaluations[-1] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, "_eval_objective", spy)
+    for shared in (None, clean):
+        evaluations.append(0)
+        ctx = AttackContext(labels=labels, rng=np.random.default_rng(2), clean=shared)
+        np.testing.assert_array_equal(attacks.run_attack(params, x, cfg, ctx), expected)
+        np.testing.assert_array_equal(ctx.fooled, ref.fooled)
+    # the shared evaluation replaces exactly the engine's one evaluation of x
+    assert evaluations[1] == evaluations[0] - 1
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from(["fgsm", "pgd", "cw"]),
        st.sampled_from([0.03, 0.06, 0.08]),

@@ -246,6 +246,29 @@ def test_checkpoint_class_mismatch_is_data_error(cfg_file, tmp_path, capsys, com
     assert "5 classes" in capsys.readouterr().err
 
 
+def test_evaluate_checks_every_checkpoint_before_attacking(cfg_file, tmp_path,
+                                                           monkeypatch, capsys):
+    # a good checkpoint first, then a class-mismatched one: the mismatch is
+    # found before the first model's sweep starts
+    paths = [str(tmp_path / "good.ckpt"), str(tmp_path / "five.ckpt")]
+    for path, classes in zip(paths, (4, 5)):
+        models.save_checkpoint(path, models.init_params(
+            models.EncoderSpec("toy_conv", (4, 6, 8)), num_classes=classes, seed=0,
+            proj_dim=8))
+    real, calls = attacks.run_attack, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2].kind)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, "run_attack", spy)
+    assert cli.main(["evaluate", "--config", cfg_file, "--checkpoint", paths[0],
+                     "--checkpoint", paths[1], "--run-dir", str(tmp_path / "ev")]) == EXIT_DATA
+    assert calls == []
+    assert "5 classes" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
 def test_shared_checkpoint_stems_get_distinct_report_ids(cfg_file, tmp_path):
     paths = []
     for seed, tag in enumerate(("ft", "base")):

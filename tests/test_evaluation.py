@@ -182,6 +182,70 @@ class TestEvalTable:
         with pytest.raises(ValueError):
             evaluation.eval_table([("m", toy_baseline)], [], test)
 
+    def test_sweep_equals_each_cell_run_alone(self, toy_baseline, toy_data):
+        # the batch-major sweep shares one clean evaluation per batch and key
+        # among its cells; each number it reports is bitwise the one its cell
+        # gives run alone. The first cell's fooled rows must not reach the
+        # second random-start cell as clean-misclassified.
+        _, test = toy_data
+        grid = [AttackConfig("pgd", 0.08, num_steps=3, random_start=True),
+                AttackConfig("pgd", 0.01, num_steps=3, random_start=True),
+                AttackConfig("pgd", 0.01, num_steps=3),
+                AttackConfig("fgsm", 0.01), AttackConfig("fgsm", 0.03),
+                AttackConfig("cw", 0.03, num_steps=3),
+                AttackConfig("cw", 0.03, num_steps=3, kappa=0.5),
+                AttackConfig("pgd", 0.0, num_steps=2, random_start=True)]
+        seed, batch = 4, 97
+        assert len(test) > 3 * batch
+        report = evaluation.eval_table([("m", toy_baseline)], grid, test, seed=seed,
+                                       batch_size=batch)[0]
+        clean = evaluation.clean_accuracy(toy_baseline, test, batch)
+        assert 0.0 < clean < 1.0            # some row is clean-misclassified
+        assert report.clean_accuracy == clean
+        alone = [evaluation.robust_accuracy(toy_baseline, test, cfg,
+                                            seed=seed * 100003 + i, batch_size=batch)
+                 for i, cfg in enumerate(grid)]
+        assert [c.robust_accuracy for c in report.cells] == alone
+        assert alone[0] < alone[1]
+
+    def test_one_clean_evaluation_per_batch_and_key(self, toy_baseline, toy_data,
+                                                    monkeypatch):
+        # fgsm and pgd share the supervised_ce key, cw has supervised_margin;
+        # no attack evaluates the unperturbed batch itself
+        _, test = toy_data
+        batch = 200
+        grid = [AttackConfig("pgd", 0.03, num_steps=3, random_start=True),
+                AttackConfig("fgsm", 0.03), AttackConfig("cw", 0.03, num_steps=3)]
+        real_eval, real_run = attacks._eval_objective, attacks.run_attack
+        outside, inside, attacking = [], [], []
+
+        def eval_spy(model, xq, mode, *args, **kwargs):
+            (inside if attacking else outside).append((mode, xq))
+            return real_eval(model, xq, mode, *args, **kwargs)
+
+        def run_spy(*args, **kwargs):
+            attacking.append(True)
+            try:
+                return real_run(*args, **kwargs)
+            finally:
+                attacking.pop()
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("eval_table ran a separate clean forward")
+
+        monkeypatch.setattr(attacks, "_eval_objective", eval_spy)
+        monkeypatch.setattr(attacks, "run_attack", run_spy)
+        monkeypatch.setattr(models, "logits_for", no_forward)
+        evaluation.eval_table([("m", toy_baseline)], grid, test, seed=1, batch_size=batch)
+        starts = range(0, len(test), batch)
+        assert [mode for mode, _ in outside] == \
+            ["supervised_ce", "supervised_margin"] * len(starts)
+        for start, (_, xq) in zip(starts, outside[::2]):
+            np.testing.assert_array_equal(xq, test.images[start:start + batch])
+        clean_batches = [test.images[start:start + batch] for start in starts]
+        assert inside and not any(xq.shape == c.shape and np.array_equal(xq, c)
+                                  for _, xq in inside for c in clean_batches)
+
     def test_render_mentions_every_cell(self, toy_baseline, toy_data):
         _, test = toy_data
         reports = evaluation.eval_table([("m", toy_baseline)],
