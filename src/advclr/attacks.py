@@ -20,13 +20,12 @@ samples whose returned point the model misclassifies.
 
 ``context.clean``, when set, is the caller's evaluation of the unperturbed
 batch ``x`` (as float32) under the attack's objective and kappa: the
-``(per-row objective, input gradient or None, misclassified rows)`` triple of
-``_eval_objective``. The engine reads it, and never writes it, in place of
-its own evaluation of ``x``: the clean pass before a random start, and the
-first evaluation of an attack without one (which needs the gradient; a
-triple without it serves the clean pass only). Many attacks on one batch can
-so share one clean evaluation, and the outputs are bitwise those of an
-attack that makes its own.
+``(per-row objective, input gradient, misclassified rows)`` triple of
+``_eval_objective`` with ``want_grad=True``. The engine reads it, and never
+writes it, in place of its own evaluation of ``x``: the clean pass before a
+random start, and the first evaluation of an attack without one. Many
+attacks on one batch can so share one clean evaluation, and the outputs are
+bitwise those of an attack that makes its own.
 
 Objectives (all "ascend to attack"):
 
@@ -188,8 +187,7 @@ def _eval_objective(params, x_np, mode, ctx, kappa, want_grad):
 def attack_objective(model: models.ModelParams, x, mode: str,
                      context: AttackContext, kappa: float = 0.0) -> float:
     """Scalar value of an attack objective (higher = more adversarial)."""
-    tape = T.Tape()
-    xt = tape.leaf(np.asarray(x, dtype=np.float32))
+    xt = T.constant(x, np.float32)
     scalar, _, _ = _objective_graph(model, xt, mode, context, kappa)
     return float(scalar.data)
 
@@ -233,7 +231,7 @@ def run_attack(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
             break
         # the last evaluation only scores the final iterate, so needs no gradient
         stepping = i < cfg.num_steps
-        if cur is x and clean is not None and clean[1] is not None:
+        if cur is x and clean is not None:
             per, grad, wrong = clean
         else:
             per, grad, wrong = _eval_objective(model, cur, mode, ctx, cfg.kappa,

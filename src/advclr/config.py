@@ -128,7 +128,7 @@ def parse_config(path: str | None = None,
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     section = None
     for lineno, raw in enumerate(lines, start=1):
@@ -208,9 +208,14 @@ def _checked(section: str, make, **kwargs):
 
 
 def build_encoder_spec(cfg: RunConfig) -> EncoderSpec:
-    return _checked("model", EncoderSpec, kind=cfg.get("model", "kind"),
+    spec = _checked("model", EncoderSpec, kind=cfg.get("model", "kind"),
                     widths=tuple(cfg.get("model", "widths")),
                     blocks_per_stage=cfg.get("model", "blocks_per_stage"))
+    size = cfg.get("data", "image_size")    # CIFAR-10's 32 needs no check
+    if spec.kind == "resnet_small" and cfg.get("data", "source") == "synthetic" and size % 2:
+        raise ConfigError(f"[model] kind = resnet_small max-pools its stem 2x2, so it "
+                          f"needs an even [data] image_size, got {size}")
+    return spec
 
 
 def build_augment(cfg: RunConfig, image_size: int) -> AugmentPolicy:

@@ -3,12 +3,13 @@
 Values are numpy arrays (float32 or float64). Shape is the contract, memory
 order is not: an op may return a non-contiguous view (conv2d returns NCHW
 views of batch-last memory), and every op accepts any memory order.
-Differentiable computations are recorded on a ``Tape``: leaves are created
-with ``Tape.leaf``, every operation whose inputs belong to the tape appends
-a node, and ``Tape.backward`` replays the nodes in reverse to accumulate
-gradients for the leaves. Tensors without a tape are plain immutable values;
-operations on them are evaluated eagerly and nothing is recorded, so they
-are safe to share across threads. A tape itself is single-threaded.
+Differentiable computations are recorded on a ``Tape``: a tensor is on a
+tape exactly when a gradient flows into it. Gradient leaves are created with
+``Tape.leaf``, every operation with an input on the tape appends a node, and
+``Tape.backward`` replays the nodes in reverse to accumulate gradients for
+the leaves. Tensors without a tape are plain immutable values; operations on
+them are evaluated eagerly and nothing is recorded, so they are safe to share
+across threads. A tape itself is single-threaded.
 """
 
 from __future__ import annotations
@@ -40,21 +41,17 @@ def _as_array(value, dtype=None) -> np.ndarray:
 
 
 class Tensor:
-    """A dense float array, optionally recorded on a tape.
+    """A dense float array, on a tape exactly when a gradient flows into it.
 
     ``data`` is read-only by convention; operations always allocate fresh
     outputs. ``handle`` identifies the tensor inside its tape's gradient map.
     """
 
-    __slots__ = ("data", "tape", "requires_grad", "needs_grad", "handle")
+    __slots__ = ("data", "tape", "handle")
 
-    def __init__(self, data: np.ndarray, tape: "Tape | None" = None,
-                 requires_grad: bool = False, needs_grad: bool = False,
-                 handle: int = -1):
+    def __init__(self, data: np.ndarray, tape: "Tape | None" = None, handle: int = -1):
         self.data = data
         self.tape = tape
-        self.requires_grad = requires_grad
-        self.needs_grad = needs_grad
         self.handle = handle
 
     @property
@@ -73,7 +70,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        tag = "leaf" if self.requires_grad else ("taped" if self.tape else "const")
+        tag = "taped" if self.tape else "const"
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, {tag})"
 
     # arithmetic sugar; all shape/dtype checking lives in the op functions
@@ -119,11 +116,12 @@ class Tape:
         return h
 
     def leaf(self, value, requires_grad: bool = False, dtype=None) -> Tensor:
-        """Create an input tensor on this tape."""
-        t = Tensor(_as_array(value, dtype), self, requires_grad, requires_grad,
-                   self._next_handle())
-        if requires_grad:
-            self._leaves.append((t.handle, t.data))
+        """An input tensor: a gradient leaf on this tape, or with
+        ``requires_grad=False`` an off-tape constant."""
+        if not requires_grad:
+            return constant(value, dtype)
+        t = Tensor(_as_array(value, dtype), self, self._next_handle())
+        self._leaves.append((t.handle, t.data))
         return t
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
@@ -159,7 +157,7 @@ def _check_dtypes(op: str, tensors: Sequence[Tensor]):
 
 
 def _result(op: str, out: np.ndarray, pulls: list[tuple[Tensor, Callable]]) -> Tensor:
-    """Build an op output: recorded on the inputs' tape, or a plain constant."""
+    """Build an op output: a node on the inputs' tape, or a plain constant."""
     tape = None
     for t, _ in pulls:
         if t.tape is not None:
@@ -167,12 +165,10 @@ def _result(op: str, out: np.ndarray, pulls: list[tuple[Tensor, Callable]]) -> T
                 tape = t.tape
             elif tape is not t.tape:
                 raise ValueError(f"{op}: inputs belong to different tapes")
-    needs = any(t.needs_grad for t, _ in pulls)
     if tape is None:
         return Tensor(out)
-    res = Tensor(out, tape, False, needs, tape._next_handle())
-    if needs:
-        tape._nodes.append((res.handle, [(t.handle, p) for t, p in pulls if t.needs_grad]))
+    res = Tensor(out, tape, tape._next_handle())
+    tape._nodes.append((res.handle, [(t.handle, p) for t, p in pulls if t.tape is not None]))
     return res
 
 

@@ -80,6 +80,13 @@ def test_config_error_exit_code(tmp_path):
     assert cli.main(["pretrain", "--config", str(bad)]) == EXIT_CONFIG
 
 
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(b"[run]\n# caf\xe9\nseed = 3\n")
+    assert cli.main(["gradcheck", "--config", str(bad)]) == EXIT_CONFIG
+    assert f"cannot read config {bad}" in capsys.readouterr().err
+
+
 def test_data_error_exit_code(tmp_path):
     assert cli.main(["ingest-check", "--data-dir", str(tmp_path)]) == EXIT_DATA
 
@@ -172,6 +179,9 @@ BAD_INPUTS = {
                        ("per_class = 30", "per_class = 0"), "[data]"),
     "zero-test-per-class": ("evaluate", [], ("test_per_class = 10", "test_per_class = 0"),
                             "[data]"),
+    "resnet-odd-image-size": ("baseline", ["--baseline-epochs", "1"],
+                              ("image_size = 16\n\n[model]\nkind = toy_conv",
+                               "image_size = 15\n\n[model]\nkind = resnet_small"), "[model]"),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import advclr as A
-from advclr import attacks, data, evaluation, models
+from advclr import attacks, data, evaluation, models, tensor as T
 from advclr.attacks import AttackConfig, AttackContext
 from advclr.data import DataError
 from advclr.evaluation import EvalReport
@@ -48,6 +48,26 @@ class TestCleanAccuracy:
         ds = data.make_synthetic(4, 5, 8, seed=0)
         with pytest.raises(DataError, match="classes"):
             evaluation.clean_accuracy(rigged_constant_model(0, num_classes=10), ds)
+
+    def test_gradient_free_and_independent_of_batch_size(self, toy_baseline, toy_data,
+                                                         monkeypatch):
+        # the sweep with no cells: the same count at every batch size, the
+        # count eval_table reports, and no backward pass
+        _, test = toy_data
+        report = evaluation.eval_table([("m", toy_baseline)], [AttackConfig("fgsm", 0.01)],
+                                       test, batch_size=97)[0]
+        backward_calls = []
+        real_backward = T.Tape.backward
+
+        def backward_spy(tape, loss):
+            backward_calls.append(loss)
+            return real_backward(tape, loss)
+
+        monkeypatch.setattr(T.Tape, "backward", backward_spy)
+        accs = [evaluation.clean_accuracy(toy_baseline, test, batch_size=size)
+                for size in (1, 97, 256, len(test))]
+        assert 0.0 < accs[0] < 1.0 and accs == [report.clean_accuracy] * 4
+        assert backward_calls == []
 
 
 class TestRobustAccuracy:

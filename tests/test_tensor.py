@@ -171,6 +171,20 @@ class TestBackward:
         with pytest.raises(ValueError, match="tapes"):
             T.add(x1, x2)
 
+    def test_a_tensor_is_on_a_tape_exactly_when_a_gradient_flows_into_it(self):
+        tape, x = leaf([1.0, -2.0])
+        c = tape.leaf([3.0, 4.0])
+        assert c.tape is None and x.tape is tape
+        # a mixed op is taped and pulls only into the gradient leaf
+        y = T.mul(x, c)
+        assert y.tape is tape
+        assert [[handle for handle, _ in pulls] for _, pulls in tape._nodes] == [[x.handle]]
+        np.testing.assert_array_equal(tape.backward(y.sum())[x.handle], [3.0, 4.0])
+        # an op on a leaf without requires_grad records nothing
+        fresh = Tape()
+        assert T.relu(fresh.leaf([1.0, -1.0])).tape is None
+        assert fresh._nodes == []
+
 
 class TestGradCheck:
     def test_sum_of_squares(self):
