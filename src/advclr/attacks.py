@@ -20,12 +20,12 @@ samples whose returned point the model misclassifies.
 
 ``context.clean``, when set, is the caller's evaluation of the unperturbed
 batch ``x`` (as float32) under the attack's objective and kappa: the
-``(per-row objective, input gradient, misclassified rows)`` triple of
-``_eval_objective`` with ``want_grad=True``. The engine reads it, and never
-writes it, in place of its own evaluation of ``x``: the clean pass before a
-random start, and the first evaluation of an attack without one. Many
-attacks on one batch can so share one clean evaluation, and the outputs are
-bitwise those of an attack that makes its own.
+``(per-row objective, input gradient or None, misclassified rows)`` triple of
+``_eval_objective``. The engine reads it, and never writes it, in place of
+its own evaluation of ``x``: the first evaluation of an attack that
+``steps_from_clean`` (the gradient must be there), else the clean pass before
+the random start. Many attacks on one batch can so share one clean
+evaluation, and the outputs are bitwise those of an attack that makes its own.
 
 Objectives (all "ascend to attack"):
 
@@ -87,6 +87,11 @@ class AttackConfig:
     @property
     def step(self) -> float:
         return self.step_size if self.step_size is not None else self.epsilon / 4.0
+
+    @property
+    def steps_from_clean(self) -> bool:
+        """No random start: the first step needs the clean input's gradient."""
+        return not (self.random_start and self.epsilon > 0)
 
 
 @dataclass
@@ -174,7 +179,7 @@ def _objective_graph(params: models.ModelParams, x: Tensor, mode: str,
 def _eval_objective(params, x_np, mode, ctx, kappa, want_grad):
     """(per-row objective, input gradient or None, misclassified rows or None)."""
     tape = T.Tape()
-    x = tape.leaf(x_np, requires_grad=want_grad)
+    x = tape.leaf(x_np, requires_grad=True) if want_grad else T.constant(x_np)
     scalar, per, wrong = _objective_graph(params, x, mode, ctx, kappa, ascent=True)
     if not want_grad:
         return per, None, wrong
@@ -210,7 +215,7 @@ def run_attack(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
     rows, ctx, cur = np.arange(len(x)), context, x
     fooled = np.zeros(len(x), dtype=bool)
     clean = context.clean
-    if cfg.random_start and cfg.epsilon > 0:
+    if not cfg.steps_from_clean:
         rng = context.rng if context.rng is not None else np.random.default_rng()
         if labels is not None:      # the clean input counts as visited
             _, _, wrong = clean or _eval_objective(model, x, mode, ctx, cfg.kappa,

@@ -20,7 +20,7 @@ import numpy as np
 from . import config as cfgmod
 from . import evaluation, models, tensor as T, training
 from .config import ConfigError, RunConfig
-from .data import DataError, load_cifar10
+from .data import DataError, Dataset, load_cifar10
 from .tensor import NumericError
 
 EXIT_OK = 0
@@ -52,25 +52,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilons", type=cfgmod.parse_float_list,
                        help="override [attacks] epsilons, e.g. 0.03,0.06")
 
-    p = sub.add_parser("ingest-check", help="validate a CIFAR-10 directory")
-    common(p)
-    p = sub.add_parser("pretrain", help="adversarial-contrastive pretraining")
-    common(p)
-    p = sub.add_parser("finetune", help="train a linear probe on a checkpoint")
-    common(p)
-    p.add_argument("--checkpoint", required=True, help="pretraining checkpoint")
-    p = sub.add_parser("baseline", help="plain cross-entropy training")
-    common(p)
-    p = sub.add_parser("evaluate", help="clean + robust accuracy table")
-    common(p)
-    p.add_argument("--checkpoint", action="append", required=True,
-                   help="fine-tuned model checkpoint (repeatable)")
-    p = sub.add_parser("gradcheck", help="finite-difference check of the autodiff core")
-    common(p)
-    p = sub.add_parser("report", help="render evaluation report files")
-    common(p)
-    p.add_argument("--report", action="append", required=True,
-                   help="report JSON file (repeatable)")
+    for name, text in (("ingest-check", "validate a CIFAR-10 directory"),
+                       ("pretrain", "adversarial-contrastive pretraining"),
+                       ("finetune", "train a linear probe on a checkpoint"),
+                       ("baseline", "plain cross-entropy training"),
+                       ("evaluate", "clean + robust accuracy table"),
+                       ("gradcheck", "finite-difference check of the autodiff core"),
+                       ("report", "render evaluation report files")):
+        common(sub.add_parser(name, help=text))
+    sub.choices["finetune"].add_argument("--checkpoint", required=True,
+                                         help="pretraining checkpoint")
+    sub.choices["evaluate"].add_argument("--checkpoint", action="append", required=True,
+                                         help="fine-tuned model checkpoint (repeatable)")
+    sub.choices["report"].add_argument("--report", action="append", required=True,
+                                       help="report JSON file (repeatable)")
     return parser
 
 
@@ -160,7 +155,6 @@ def _cmd_evaluate(args, cfg: RunConfig) -> int:
     _, test = cfgmod.build_dataset(cfg)
     max_test = cfg.get("eval", "max_test")
     if max_test and len(test) > max_test:
-        from .data import Dataset
         test = Dataset(test.images[:max_test], test.labels[:max_test],
                        test.class_names, split=test.split)
     stems = [os.path.splitext(os.path.basename(path))[0] for path in args.checkpoint]

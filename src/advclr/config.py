@@ -211,10 +211,8 @@ def build_encoder_spec(cfg: RunConfig) -> EncoderSpec:
     spec = _checked("model", EncoderSpec, kind=cfg.get("model", "kind"),
                     widths=tuple(cfg.get("model", "widths")),
                     blocks_per_stage=cfg.get("model", "blocks_per_stage"))
-    size = cfg.get("data", "image_size")    # CIFAR-10's 32 needs no check
-    if spec.kind == "resnet_small" and cfg.get("data", "source") == "synthetic" and size % 2:
-        raise ConfigError(f"[model] kind = resnet_small max-pools its stem 2x2, so it "
-                          f"needs an even [data] image_size, got {size}")
+    if cfg.get("data", "source") == "synthetic":     # image_size sizes synthetic data only
+        _checked("model", spec.check_image_size, image_size=cfg.get("data", "image_size"))
     return spec
 
 

@@ -7,19 +7,19 @@ already classifies every point it visits, the clean input included, and
 writes each sample's verdict into its context as ``fooled``; the cell counts
 the samples not fooled and runs no forward of its own.
 
-Every measurement is one batch loop, ``_sweep``: batches in the outer loop,
-cells in the inner one, each cell drawing from its own generator so that its
-random stream is the one it would draw alone. For each batch it evaluates the
-clean input once per distinct (objective, kappa) among the cells, with the
-input gradient. That evaluation's misclassified rows give the clean accuracy,
-and every cell's attack reads it as ``context.clean`` in place of evaluating
-the batch again. The batch and the shared evaluation are marked read-only, so
-an attack that wrote into them would raise instead of corrupting the next
-cell. ``clean_accuracy`` is the sweep with no cells (one gradient-free
-``supervised_ce`` evaluation per batch), ``robust_accuracy`` its one-attack
-case, and ``eval_table`` runs it once per model. Reports serialize to JSON
-(round-trip safe) and project to a flat CSV with columns model, attack,
-epsilon, accuracy.
+Every measurement is one batch loop, ``_sweep``: batches outside, cells
+inside, each cell drawing from its own generator so that its random stream
+is the one it would draw alone. Per batch it evaluates the clean input once
+per distinct (objective, kappa) among the cells, with the input gradient when
+a cell of that key ``steps_from_clean``. Its misclassified rows give the
+clean accuracy, and every cell's attack reads it as ``context.clean`` in
+place of evaluating the batch again. The batch and the shared evaluation are
+read-only, so an attack that wrote into them would raise instead of
+corrupting the next cell. ``clean_accuracy`` is the sweep with no cells (one
+gradient-free ``supervised_ce`` evaluation per batch), ``robust_accuracy``
+its one-attack case, and ``eval_table`` runs it per model. Reports serialize
+to JSON (round-trip safe) and project to a flat CSV with columns model,
+attack, epsilon, accuracy.
 """
 
 from __future__ import annotations
@@ -98,6 +98,7 @@ def _check_model_dataset(params: ModelParams, dataset: Dataset):
     if params.num_classes != dataset.num_classes:
         raise DataError(f"model has {params.num_classes} classes, dataset "
                         f"has {dataset.num_classes}")
+    params.spec.check_image_size(dataset.image_size)
 
 
 def clean_accuracy(model: ModelParams, dataset: Dataset,
@@ -124,17 +125,19 @@ def _sweep(model: ModelParams, dataset: Dataset,
            cells: Sequence[tuple[AttackConfig, int]],
            batch_size: int) -> tuple[int, list[int]]:
     """Clean-correct count and each (attack, seed) cell's robust count, swept
-    batch-major over one shared clean evaluation per batch and (objective,
-    kappa) key; with no cells, one gradient-free evaluation per batch."""
+    batch-major over one shared clean evaluation per batch and key."""
     _check_model_dataset(model, dataset)
-    cell_keys = []
+    # (objective, kappa) -> whether some cell of the key steps from the clean input
+    keys, cell_keys = {}, []
     for cfg, _ in cells:
         objective = attacks.objective_for(cfg, supervised=True)
         if not objective.startswith("supervised"):
             raise ValueError(f"evaluation attacks need a supervised objective, "
                              f"got {objective!r}")
-        cell_keys.append((objective, cfg.kappa))
-    keys = list(dict.fromkeys(cell_keys)) or [("supervised_ce", 0.0)]
+        key = (objective, cfg.kappa)
+        keys[key] = keys.get(key, False) or cfg.steps_from_clean
+        cell_keys.append(key)
+    keys = keys or {("supervised_ce", 0.0): False}
     rngs = [np.random.default_rng(seed) for _, seed in cells]
     clean_correct, robust = 0, [0] * len(cells)
     for start in range(0, len(dataset), batch_size):
@@ -143,9 +146,9 @@ def _sweep(model: ModelParams, dataset: Dataset,
         labels = _read_only(np.asarray(dataset.labels[start:start + batch_size]))
         ctx = AttackContext(labels=labels)
         clean = {key: tuple(map(_read_only, attacks._eval_objective(
-                     model, images, key[0], ctx, key[1], want_grad=bool(cells))))
-                 for key in keys}
-        clean_correct += int((~clean[keys[0]][2]).sum())
+                     model, images, key[0], ctx, key[1], want_grad=grad)))
+                 for key, grad in keys.items()}
+        clean_correct += int((~next(iter(clean.values()))[2]).sum())
         for j, (cfg, _) in enumerate(cells):
             ctx = AttackContext(labels=labels, rng=rngs[j], clean=clean[cell_keys[j]])
             attacks.run_attack(model, images, cfg, ctx)

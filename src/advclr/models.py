@@ -58,6 +58,11 @@ class EncoderSpec:
     def embedding_dim(self) -> int:
         return self.widths[-1]
 
+    def check_image_size(self, image_size: int):
+        """resnet_small max-pools its stem 2x2, so needs an even image side."""
+        if self.kind == "resnet_small" and image_size % 2:
+            raise DataError(f"resnet_small needs an even image size, got {image_size}")
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, "widths": list(self.widths),
                 "blocks_per_stage": self.blocks_per_stage}

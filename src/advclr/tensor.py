@@ -116,8 +116,7 @@ class Tape:
         return h
 
     def leaf(self, value, requires_grad: bool = False, dtype=None) -> Tensor:
-        """An input tensor: a gradient leaf on this tape, or with
-        ``requires_grad=False`` an off-tape constant."""
+        """A gradient leaf on this tape, or without ``requires_grad`` a constant."""
         if not requires_grad:
             return constant(value, dtype)
         t = Tensor(_as_array(value, dtype), self, self._next_handle())

@@ -434,7 +434,7 @@ def test_read_only_inputs_and_a_shared_clean_evaluation(kind, random_start, monk
     assert ref.fooled[0] and not ref.fooled.all()
     clean = attacks._eval_objective(params, x, attacks.objective_for(cfg, True),
                                     AttackContext(labels=labels), cfg.kappa,
-                                    want_grad=True)
+                                    want_grad=cfg.steps_from_clean)
     for arr in (x, labels, *clean):
         if arr is not None:
             arr.flags.writeable = False

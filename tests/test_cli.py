@@ -256,6 +256,20 @@ def test_checkpoint_class_mismatch_is_data_error(cfg_file, tmp_path, capsys, com
     assert "5 classes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["finetune", "evaluate"])
+def test_resnet_checkpoint_on_odd_images_is_data_error(cfg_file, tmp_path, capsys,
+                                                       command):
+    # the spec comes from the checkpoint, not [model], so the config never sees it
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_text(Path(cfg_file).read_text().replace("image_size = 16", "image_size = 15"))
+    ckpt = str(tmp_path / "resnet.ckpt")
+    models.save_checkpoint(ckpt, models.init_params(
+        models.EncoderSpec("resnet_small", (4, 6, 8)), num_classes=4, seed=0, proj_dim=8))
+    assert cli.main([command, "--config", str(cfg), "--checkpoint", ckpt,
+                     "--run-dir", str(tmp_path / "out")]) == EXIT_DATA
+    assert "even image size, got 15" in capsys.readouterr().err
+
+
 def test_evaluate_checks_every_checkpoint_before_attacking(cfg_file, tmp_path,
                                                            monkeypatch, capsys):
     # a good checkpoint first, then a class-mismatched one: the mismatch is

@@ -130,6 +130,24 @@ class TestRobustAccuracy:
         assert evaluation.robust_accuracy(toy_baseline, test, cfg, seed=2) == \
             correct / len(test)
 
+    @pytest.mark.parametrize("cfg,clean_grad", [
+        (AttackConfig("pgd", 0.03, num_steps=2, random_start=True), False),
+        (AttackConfig("pgd", 0.03, num_steps=2), True), (AttackConfig("fgsm", 0.03), True)])
+    def test_clean_gradient_only_when_the_attack_steps_from_it(self, toy_baseline, toy_data,
+                                                               monkeypatch, cfg, clean_grad):
+        # a random start reads only the clean verdicts, so its shared clean
+        # evaluation runs no backward pass
+        _, test = toy_data
+        real_eval, wants = attacks._eval_objective, []
+
+        def eval_spy(*args, want_grad):
+            wants.append(want_grad)
+            return real_eval(*args, want_grad=want_grad)
+
+        monkeypatch.setattr(attacks, "_eval_objective", eval_spy)
+        evaluation.robust_accuracy(toy_baseline, test, cfg, batch_size=len(test))
+        assert wants[0] == clean_grad
+
     def test_unsupervised_objective_rejected(self, toy_baseline, toy_data):
         _, test = toy_data
         cfg = AttackConfig("pgd", 0.03, objective="contrastive")
