@@ -8,8 +8,8 @@ sample's best visited iterate (start point included). For FGSM,
 :class:`AttackConfig` fixes one step of size epsilon and no random start.
 ``DEFAULT_OBJECTIVES`` gives each kind's objective when ``cfg.objective`` is
 unset. ``fgsm``, ``pgd`` and ``cw`` are aliases of ``run_attack``. A random
-start draws one uniform double per input value from ``context.rng``, and the
-attack draws nothing else.
+start draws one uniform double per input value from ``context.rng`` (a
+ValueError when it is None), and the attack draws nothing else.
 
 Under a supervised objective the clean input also counts as visited, and a
 sample leaves the attack at the first visited point the model misclassifies:
@@ -101,7 +101,7 @@ class AttackContext:
     labels: np.ndarray | None = None        # (B,) int, supervised objectives
     reference: np.ndarray | None = None     # (B, proj_dim) unit rows, embedding ones
     temperature: float = 0.1
-    rng: np.random.Generator | None = None  # drives the optional random start
+    rng: np.random.Generator | None = None  # drives a random start, which needs it
     fooled: np.ndarray | None = None        # (B,) bool, set by a supervised attack
     clean: tuple | None = None              # read-only evaluation of x; module doc
 
@@ -216,7 +216,8 @@ def run_attack(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
     fooled = np.zeros(len(x), dtype=bool)
     clean = context.clean
     if not cfg.steps_from_clean:
-        rng = context.rng if context.rng is not None else np.random.default_rng()
+        if context.rng is None:     # an unseeded start would not reproduce
+            raise ValueError("a random start needs context.rng")
         if labels is not None:      # the clean input counts as visited
             _, _, wrong = clean or _eval_objective(model, x, mode, ctx, cfg.kappa,
                                                    want_grad=False)
@@ -224,7 +225,7 @@ def run_attack(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
             rows = np.flatnonzero(~fooled)
             ctx = replace(context, labels=labels[rows])
         # drawn for the whole batch, so the stream does not depend on who left
-        noise = rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape).astype(np.float32)
+        noise = context.rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape).astype(np.float32)
         cur = project_linf(x[rows] + noise[rows], x[rows], eps)
         del noise
     # each left row's frozen point, each active row's best; allocated after

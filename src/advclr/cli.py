@@ -1,10 +1,10 @@
 """Command-line driver for the full pipeline.
 
-Commands: ingest-check, pretrain, finetune, baseline, evaluate, gradcheck,
-report. Configuration comes from a sectioned key=value file plus a handful
-of override flags; artifacts land in a per-run directory named by config
-hash and timestamp (or a directory pinned with --run-dir for reproducible
-comparisons). Exit codes: 0 ok, 2 config, 3 data, 4 numeric, 5 io.
+Commands are listed once, in ``_COMMANDS``. Configuration comes from a
+sectioned key=value file plus the override flags of ``OVERRIDES``;
+artifacts land in a per-run directory named by config hash and timestamp
+(or a directory pinned with --run-dir for reproducible comparisons).
+Exit codes: 0 ok, 2 config, 3 data, 4 numeric, 5 io.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import config as cfgmod
 from . import evaluation, models, tensor as T, training
 from .config import ConfigError, RunConfig
-from .data import DataError, Dataset, load_cifar10
+from .data import DataError, Dataset
 from .tensor import NumericError
 
 EXIT_OK = 0
@@ -32,73 +32,58 @@ EXIT_IO = 5
 GRADCHECK_TOLERANCE = 1e-4
 
 
+# flag -> (the "section.key" it overrides, type, help example)
+OVERRIDES = {
+    "--seed": ("run.seed", int, ""),
+    "--data-dir": ("data.dir", None, ""),
+    "--out-dir": ("run.out_dir", None, ""),
+    "--pretrain-epochs": ("pretrain.epochs", int, ""),
+    "--finetune-epochs": ("finetune.epochs", int, ""),
+    "--baseline-epochs": ("baseline.epochs", int, ""),
+    "--epsilons": ("attacks.epsilons", cfgmod.parse_float_list, ", e.g. 0.03,0.06"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="advclr",
         description="Adversarial-contrastive pretraining, linear-probe "
                     "fine-tuning, and robustness evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, text, own_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="path to a sectioned key=value config file")
-        p.add_argument("--seed", type=int, help="override [run] seed")
-        p.add_argument("--data-dir", help="override [data] dir")
-        p.add_argument("--out-dir", help="override [run] out_dir")
+        for flag, (dotted, kind, example) in OVERRIDES.items():
+            section, _, key = dotted.partition(".")
+            p.add_argument(flag, type=kind, help=f"override [{section}] {key}{example}")
         p.add_argument("--run-dir", help="exact artifact directory (skips "
                                          "hash+timestamp naming)")
-        p.add_argument("--pretrain-epochs", type=int, help="override [pretrain] epochs")
-        p.add_argument("--finetune-epochs", type=int, help="override [finetune] epochs")
-        p.add_argument("--baseline-epochs", type=int, help="override [baseline] epochs")
-        p.add_argument("--epsilons", type=cfgmod.parse_float_list,
-                       help="override [attacks] epsilons, e.g. 0.03,0.06")
-
-    for name, text in (("ingest-check", "validate a CIFAR-10 directory"),
-                       ("pretrain", "adversarial-contrastive pretraining"),
-                       ("finetune", "train a linear probe on a checkpoint"),
-                       ("baseline", "plain cross-entropy training"),
-                       ("evaluate", "clean + robust accuracy table"),
-                       ("gradcheck", "finite-difference check of the autodiff core"),
-                       ("report", "render evaluation report files")):
-        common(sub.add_parser(name, help=text))
-    sub.choices["finetune"].add_argument("--checkpoint", required=True,
-                                         help="pretraining checkpoint")
-    sub.choices["evaluate"].add_argument("--checkpoint", action="append", required=True,
-                                         help="fine-tuned model checkpoint (repeatable)")
-    sub.choices["report"].add_argument("--report", action="append", required=True,
-                                       help="report JSON file (repeatable)")
+        for flag, kwargs in own_flags.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def _load_config(args) -> RunConfig:
-    overrides = {
-        "run.seed": args.seed,
-        "data.dir": args.data_dir,
-        "run.out_dir": args.out_dir,
-        "pretrain.epochs": args.pretrain_epochs,
-        "finetune.epochs": args.finetune_epochs,
-        "baseline.epochs": args.baseline_epochs,
-        "attacks.epsilons": args.epsilons or None,
-    }
+    overrides = {}
+    for flag, (dotted, _, _) in OVERRIDES.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        overrides[dotted] = None if value == [] else value   # --epsilons '' keeps the file's
     return cfgmod.parse_config(args.config, overrides)
 
 
-def _run_dir(args, cfg: RunConfig, command: str) -> str:
+def _run_dir(args, cfg: RunConfig) -> str:
     if args.run_dir:
         path = args.run_dir
     else:
         stamp = datetime.now().strftime("%Y%m%d-%H%M%S")
         path = os.path.join(cfg.get("run", "out_dir"),
-                            f"{command}-{cfg.digest()}-{stamp}")
+                            f"{args.command}-{cfg.digest()}-{stamp}")
     os.makedirs(path, exist_ok=True)
     return path
 
 
 def _cmd_ingest_check(args, cfg: RunConfig) -> int:
-    directory = cfg.get("data", "dir")
-    if not directory:
-        raise ConfigError(f"missing required key: [data] dir "
-                          f"(or set {cfgmod.DATA_DIR_ENV})")
-    train, test = load_cifar10(directory)
+    train, test = cfgmod.build_cifar10(cfg)
     counts = np.bincount(train.labels, minlength=train.num_classes)
     print(f"train: {len(train)} images, test: {len(test)} images")
     print("train class counts:",
@@ -109,8 +94,9 @@ def _cmd_ingest_check(args, cfg: RunConfig) -> int:
 def _cmd_pretrain(args, cfg: RunConfig) -> int:
     train, _ = cfgmod.build_dataset(cfg)
     spec = cfgmod.build_encoder_spec(cfg)
-    pre_cfg = cfgmod.build_pretrain(cfg, train.image_size)
-    run_dir = _run_dir(args, cfg, "pretrain")
+    pre_cfg = cfgmod.build_section(cfg, "pretrain",
+                                   augment=cfgmod.build_augment(cfg, train.image_size))
+    run_dir = _run_dir(args, cfg)
     t0 = time.monotonic()
     params, log = training.act_pretrain(train, spec, pre_cfg, out_dir=run_dir,
                                         proj_dim=cfg.get("model", "proj_dim"))
@@ -123,8 +109,8 @@ def _cmd_pretrain(args, cfg: RunConfig) -> int:
 
 def _cmd_finetune(args, cfg: RunConfig) -> int:
     train, _ = cfgmod.build_dataset(cfg)
-    ft_cfg = cfgmod.build_finetune(cfg)
-    run_dir = _run_dir(args, cfg, "finetune")
+    ft_cfg = cfgmod.build_section(cfg, "finetune")
+    run_dir = _run_dir(args, cfg)
     params, log = training.finetune(train, args.checkpoint, train.num_classes, ft_cfg)
     out = os.path.join(run_dir, "model.ckpt")
     models.save_checkpoint(out, params)
@@ -138,8 +124,9 @@ def _cmd_finetune(args, cfg: RunConfig) -> int:
 def _cmd_baseline(args, cfg: RunConfig) -> int:
     train, _ = cfgmod.build_dataset(cfg)
     spec = cfgmod.build_encoder_spec(cfg)
-    base_cfg = cfgmod.build_baseline(cfg, train.image_size)
-    run_dir = _run_dir(args, cfg, "baseline")
+    base_cfg = cfgmod.build_section(cfg, "baseline",
+                                    augment=cfgmod.build_augment(cfg, train.image_size))
+    run_dir = _run_dir(args, cfg)
     params, log = training.supervised_train(train, spec, base_cfg,
                                             proj_dim=cfg.get("model", "proj_dim"))
     out = os.path.join(run_dir, "model.ckpt")
@@ -169,7 +156,7 @@ def _cmd_evaluate(args, cfg: RunConfig) -> int:
     reports = evaluation.eval_table(model_list, attack_list, test,
                                     seed=cfg.get("run", "seed"),
                                     batch_size=cfg.get("eval", "batch_size"))
-    run_dir = _run_dir(args, cfg, "evaluate")
+    run_dir = _run_dir(args, cfg)
     for rep in reports:
         _write(os.path.join(run_dir, f"report-{rep.model_id}.json"), rep.to_json())
     _write(os.path.join(run_dir, "report.csv"), evaluation.reports_to_csv(reports))
@@ -219,14 +206,20 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
+# name -> (function, help, the command's own flags), in --help's order
 _COMMANDS = {
-    "ingest-check": _cmd_ingest_check,
-    "pretrain": _cmd_pretrain,
-    "finetune": _cmd_finetune,
-    "baseline": _cmd_baseline,
-    "evaluate": _cmd_evaluate,
-    "gradcheck": _cmd_gradcheck,
-    "report": _cmd_report,
+    "ingest-check": (_cmd_ingest_check, "validate a CIFAR-10 directory", {}),
+    "pretrain": (_cmd_pretrain, "adversarial-contrastive pretraining", {}),
+    "finetune": (_cmd_finetune, "train a linear probe on a checkpoint",
+                 {"--checkpoint": dict(required=True, help="pretraining checkpoint")}),
+    "baseline": (_cmd_baseline, "plain cross-entropy training", {}),
+    "evaluate": (_cmd_evaluate, "clean + robust accuracy table",
+                 {"--checkpoint": dict(action="append", required=True,
+                                       help="fine-tuned model checkpoint (repeatable)")}),
+    "gradcheck": (_cmd_gradcheck, "finite-difference check of the autodiff core", {}),
+    "report": (_cmd_report, "render evaluation report files",
+               {"--report": dict(action="append", required=True,
+                                 help="report JSON file (repeatable)")}),
 }
 
 
@@ -234,7 +227,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command][0](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

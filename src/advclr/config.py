@@ -38,23 +38,20 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def parse_float_list(raw: str) -> list[float]:
-    return [float(part) for part in raw.split(",") if part.strip()]
+def _list_of(item):
+    """A parser of comma-separated ``item`` values; empty parts are skipped."""
+    def parse(raw: str) -> list:
+        return [item(part.strip()) for part in raw.split(",") if part.strip()]
+    parse.__name__ = f"parse_{item.__name__}_list"    # argparse names it in errors
+    return parse
 
 
-def _parse_int_list(raw: str) -> list[int]:
-    return [int(part) for part in raw.split(",") if part.strip()]
-
-
-def _parse_str_list(raw: str) -> list[str]:
-    return [part.strip() for part in raw.split(",") if part.strip()]
-
+parse_float_list = _list_of(float)
 
 _PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str.strip,
-            "floats": parse_float_list, "ints": _parse_int_list,
-            "strs": _parse_str_list}
+            "floats": parse_float_list, "ints": _list_of(int), "strs": _list_of(str)}
 
-# (type, default); default None means "optional, validated by the command"
+# (type, default); a default of None marks a key that its builder requires
 SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "run": {"seed": ("int", 0), "out_dir": ("str", "runs")},
     "data": {"source": ("str", "synthetic"), "dir": ("str", ""),
@@ -87,7 +84,6 @@ MINIMUMS = {("run", "seed"): 0, ("data", "image_size"): 1, ("data", "noise"): 0,
 @dataclass
 class RunConfig:
     values: dict[str, dict[str, object]]
-    path: str = ""
 
     def get(self, section: str, key: str):
         return self.values[section][key]
@@ -124,7 +120,6 @@ def parse_config(path: str | None = None,
     cfg = default_config()
     lines = []
     if path is not None:
-        cfg.path = path
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
@@ -177,11 +172,7 @@ def parse_config(path: str | None = None,
 def build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     source = cfg.get("data", "source")
     if source == "cifar10":
-        directory = cfg.get("data", "dir")
-        if not directory:
-            raise ConfigError(f"missing required key: [data] dir "
-                              f"(or set {DATA_DIR_ENV})")
-        return load_cifar10(directory)
+        return build_cifar10(cfg)
     if source != "synthetic":
         raise ConfigError(f"[data] source must be 'synthetic' or 'cifar10', "
                           f"got {source!r}")
@@ -197,6 +188,14 @@ def build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     test = _checked("data", make_synthetic, per_class=cfg.get("data", "test_per_class"),
                     split="test", **common)
     return train, test
+
+
+def build_cifar10(cfg: RunConfig) -> tuple[Dataset, Dataset]:
+    """The CIFAR-10 train and test splits from ``[data] dir``, which is required."""
+    directory = cfg.get("data", "dir")
+    if not directory:
+        raise ConfigError(f"missing required key: [data] dir (or set {DATA_DIR_ENV})")
+    return load_cifar10(directory)
 
 
 def _checked(section: str, make, **kwargs):
@@ -225,37 +224,22 @@ def build_augment(cfg: RunConfig, image_size: int) -> AugmentPolicy:
                     hflip_prob=cfg.get("augment", "hflip_prob"))
 
 
-def build_pretrain(cfg: RunConfig, image_size: int) -> PretrainConfig:
-    pgd_view, cw_view = _checked("pretrain", default_view_attacks,
-                                 epsilon=cfg.get("pretrain", "view_epsilon"),
-                                 num_steps=cfg.get("pretrain", "view_steps"))
-    return _checked("pretrain", PretrainConfig,
-                    epochs=cfg.require("pretrain", "epochs"),
-                    batch_size=cfg.get("pretrain", "batch_size"),
-                    lr0=cfg.get("pretrain", "lr0"),
-                    momentum=cfg.get("pretrain", "momentum"),
-                    tau=cfg.get("pretrain", "tau"),
-                    pgd_view=pgd_view, cw_view=cw_view,
-                    augment=build_augment(cfg, image_size),
-                    seed=cfg.get("run", "seed"),
-                    checkpoint_every=cfg.get("pretrain", "checkpoint_every"))
+def _pretrain_config(view_epsilon: float, view_steps: int, **fields) -> PretrainConfig:
+    pgd_view, cw_view = default_view_attacks(epsilon=view_epsilon, num_steps=view_steps)
+    return PretrainConfig(pgd_view=pgd_view, cw_view=cw_view, **fields)
 
 
-def build_finetune(cfg: RunConfig) -> FinetuneConfig:
-    return _checked("finetune", FinetuneConfig,
-                    epochs=cfg.require("finetune", "epochs"),
-                    batch_size=cfg.get("finetune", "batch_size"),
-                    lr=cfg.get("finetune", "lr"),
-                    seed=cfg.get("run", "seed"))
+# what makes each training section's config object from the section's keys
+_SECTION_MAKERS = {"pretrain": _pretrain_config, "finetune": FinetuneConfig,
+                   "baseline": SupervisedConfig}
 
 
-def build_baseline(cfg: RunConfig, image_size: int) -> SupervisedConfig:
-    return _checked("baseline", SupervisedConfig,
-                    epochs=cfg.require("baseline", "epochs"),
-                    batch_size=cfg.get("baseline", "batch_size"),
-                    lr0=cfg.get("baseline", "lr0"),
-                    augment=build_augment(cfg, image_size),
-                    seed=cfg.get("run", "seed"))
+def build_section(cfg: RunConfig, section: str, **extras):
+    """``[section]``'s config object from every key of the section (one with
+    no default is required), then ``[run] seed``, then ``extras``."""
+    values = {key: cfg.require(section, key) for key in SCHEMA[section]}
+    return _checked(section, _SECTION_MAKERS[section], **values,
+                    seed=cfg.get("run", "seed"), **extras)
 
 
 def build_attacks(cfg: RunConfig) -> list[AttackConfig]:

@@ -95,10 +95,7 @@ class EvalReport:
 def _check_model_dataset(params: ModelParams, dataset: Dataset):
     if len(dataset) == 0:
         raise DataError("evaluation requires a non-empty dataset")
-    if params.num_classes != dataset.num_classes:
-        raise DataError(f"model has {params.num_classes} classes, dataset "
-                        f"has {dataset.num_classes}")
-    params.spec.check_image_size(dataset.image_size)
+    params.check_fits(dataset)
 
 
 def clean_accuracy(model: ModelParams, dataset: Dataset,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import DataError
+from .data import DataError, Dataset
 from .tensor import Tensor
 
 ENCODER_KINDS = ("toy_conv", "resnet_small")
@@ -85,6 +85,14 @@ class ModelParams:
         return ModelParams(self.spec, self.num_classes, self.proj_dim, self.seed,
                            {k: v.copy() for k, v in self.arrays.items()},
                            {k: v.copy() for k, v in self.buffers.items()})
+
+    def check_fits(self, dataset: Dataset):
+        """A DataError unless this model can classify ``dataset``: the same
+        class count, and an image side its encoder takes."""
+        if self.num_classes != dataset.num_classes:
+            raise DataError(f"model has {self.num_classes} classes, dataset "
+                            f"has {dataset.num_classes}")
+        self.spec.check_image_size(dataset.image_size)
 
 
 def _add_norm(arrays, buffers, name: str, channels: int):

@@ -327,10 +327,7 @@ def finetune(dataset: Dataset, checkpoint, num_classes: int,
     if num_classes != dataset.num_classes:
         raise ValueError(f"num_classes {num_classes} != dataset classes "
                          f"{dataset.num_classes}")
-    if params.num_classes != num_classes:
-        raise data.DataError(f"checkpoint classifier has {params.num_classes} "
-                             f"classes, dataset has {num_classes}")
-    params.spec.check_image_size(dataset.image_size)
+    params.check_fits(dataset)
     rng = np.random.default_rng(cfg.seed)
     emb_dim = params.spec.embedding_dim
     params.arrays["classifier.w"] = (

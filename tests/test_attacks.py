@@ -285,6 +285,19 @@ class TestPgd:
         b = attacks.pgd(params, x, cfg, ctx)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("kind", ["pgd", "cw"])
+    def test_random_start_needs_a_generator(self, kind):
+        # an unseeded start would differ from run to run
+        params = small_model()
+        x = images(np.random.default_rng(12), 2)
+        ctx = AttackContext(labels=np.zeros(2, dtype=int))
+        with pytest.raises(ValueError, match="context.rng"):
+            attacks.run_attack(params, x, AttackConfig(kind, 0.03, num_steps=2,
+                                                       random_start=True), ctx)
+        # at epsilon 0 there is no start to draw
+        attacks.run_attack(params, x, AttackConfig(kind, 0.0, num_steps=2,
+                                                   random_start=True), ctx)
+
     def test_params_never_modified(self):
         params = small_model()
         before = {k: v.copy() for k, v in params.arrays.items()}

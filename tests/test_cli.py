@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import advclr
-from advclr import attacks, cli, evaluation, models, training
+from advclr import attacks, cli, config, evaluation, models, training
 from advclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK
 from advclr.tensor import NumericError
 
@@ -115,6 +115,37 @@ def test_zero_epochs_is_config_error(cfg_file, tmp_path, command, flag):
     if command == "finetune":
         argv += ["--checkpoint", str(tmp_path / "unused.ckpt")]
     assert cli.main(argv) == EXIT_CONFIG
+
+
+# (flag, raw value, the key it sets, the parsed value); TINY_CFG holds another
+OVERRIDE_ROWS = {
+    "seed": ("--seed", "7", "run.seed", 7),
+    "data-dir": ("--data-dir", "some/cifar", "data.dir", "some/cifar"),
+    "out-dir": ("--out-dir", "elsewhere", "run.out_dir", "elsewhere"),
+    "pretrain-epochs": ("--pretrain-epochs", "5", "pretrain.epochs", 5),
+    "finetune-epochs": ("--finetune-epochs", "6", "finetune.epochs", 6),
+    "baseline-epochs": ("--baseline-epochs", "7", "baseline.epochs", 7),
+    "epsilons": ("--epsilons", "0.01,0.05", "attacks.epsilons", [0.01, 0.05]),
+    "empty-epsilons": ("--epsilons", "", "attacks.epsilons", [0.0, 0.03]),   # the file's
+}
+
+
+@pytest.mark.parametrize("flag,raw,dotted,value", OVERRIDE_ROWS.values(), ids=OVERRIDE_ROWS)
+def test_override_flag_sets_its_key_and_no_other(cfg_file, monkeypatch, flag, raw, dotted,
+                                                 value):
+    monkeypatch.delenv("ADVCLR_DATA_DIR", raising=False)
+    real, loaded = config.parse_config, []
+
+    def spy(*args):
+        loaded.append(real(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(config, "parse_config", spy)
+    assert cli.main(["gradcheck", "--config", cfg_file, flag, raw]) == EXIT_OK
+    expected = real(cfg_file).values
+    section, _, key = dotted.partition(".")
+    expected[section][key] = value
+    assert [cfg.values for cfg in loaded] == [expected]
 
 
 BAD_INPUTS = {

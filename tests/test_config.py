@@ -54,7 +54,7 @@ def write(tmp_path, text):
 class TestParse:
     def test_minimal_file_fills_defaults(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))
-        pre = cfgmod.build_pretrain(cfg, 16)
+        pre = cfgmod.build_section(cfg, "pretrain")
         assert pre.tau == 0.1
         assert pre.momentum == 0.9
         assert pre.epochs == 2
@@ -119,7 +119,25 @@ class TestBuilders:
         no_epochs = MINIMAL.replace("[pretrain]\nepochs = 2\n", "")
         cfg = parse_config(write(tmp_path, no_epochs))
         with pytest.raises(ConfigError, match=r"\[pretrain\] epochs"):
-            cfgmod.build_pretrain(cfg, 16)
+            cfgmod.build_section(cfg, "pretrain")
+
+    def test_section_builder_passes_every_key_then_seed_then_extras(self, tmp_path):
+        cfg = parse_config(write(tmp_path, MINIMAL), {
+            "pretrain.batch_size": 7, "pretrain.lr0": 0.2, "pretrain.momentum": 0.5,
+            "pretrain.tau": 0.3, "pretrain.view_epsilon": 0.05, "pretrain.view_steps": 3,
+            "pretrain.checkpoint_every": 2, "finetune.batch_size": 9, "finetune.lr": 0.01,
+            "baseline.epochs": 4, "baseline.batch_size": 11, "baseline.lr0": 0.02})
+        policy = AugmentPolicy(crop_pad=0, hflip_prob=0.0)
+        pre = cfgmod.build_section(cfg, "pretrain", augment=policy)
+        assert (pre.epochs, pre.batch_size, pre.lr0, pre.momentum, pre.tau,
+                pre.checkpoint_every, pre.seed, pre.augment) == (2, 7, 0.2, 0.5, 0.3, 2, 1,
+                                                                 policy)
+        assert [(v.kind, v.epsilon, v.num_steps, v.random_start)
+                for v in (pre.pgd_view, pre.cw_view)] == [("pgd", 0.05, 3, True),
+                                                          ("cw", 0.05, 3, True)]
+        assert cfgmod.build_section(cfg, "finetune") == FinetuneConfig(3, 9, 0.01, seed=1)
+        assert cfgmod.build_section(cfg, "baseline", augment=policy) == SupervisedConfig(
+            4, 11, 0.02, augment=policy, seed=1)
 
     def test_attack_grid(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))
@@ -180,9 +198,8 @@ def test_readme_config_block_builds_every_config(tmp_path):
     block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = parse_config(write(tmp_path, block))
     size = cfg.get("data", "image_size")
-    cfgmod.build_pretrain(cfg, size)
-    cfgmod.build_finetune(cfg)
-    cfgmod.build_baseline(cfg, size)
+    for section in ("pretrain", "finetune", "baseline"):
+        cfgmod.build_section(cfg, section)
     cfgmod.build_encoder_spec(cfg)
     assert cfgmod.build_augment(cfg, size) == AugmentPolicy(crop_pad=2, hflip_prob=0.5)
     assert len(cfgmod.build_attacks(cfg)) == 9

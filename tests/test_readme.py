@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import advclr
+from advclr import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 DOTTED = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`")
@@ -33,3 +34,10 @@ def test_removed_names_no_longer_resolve():
         except ImportError:
             owner = getattr(advclr, owner_name)   # a class the package exports
         assert not hasattr(owner, attr), f"README lists {owner_name}.{attr} as removed"
+
+
+def test_override_flags_sentence_names_the_flag_table():
+    # "Flags (`--seed`, ...) override file values": the flags cli declares
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = text[text.index("Flags ("):text.index(") override file values")]
+    assert sorted(re.findall(r"`(--[\w-]+)`", sentence)) == sorted(cli.OVERRIDES)
