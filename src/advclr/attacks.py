@@ -40,6 +40,7 @@ Objectives (all "ascend to attack"):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +56,8 @@ DEFAULT_OBJECTIVES = {
     "cw": ("supervised_margin", "embedding_margin"),
 }
 ATTACK_KINDS = tuple(DEFAULT_OBJECTIVES)
+# float64 values per random-start draw: about 512 KB at a time
+_NOISE_CHUNK = 1 << 16
 OBJECTIVES = ("supervised_ce", "supervised_margin", "embedding_repel",
               "embedding_margin", "contrastive")
 
@@ -108,11 +111,18 @@ class AttackContext:
 
 def project_linf(x_adv: np.ndarray, x_ref: np.ndarray,
                  epsilon: float) -> np.ndarray:
-    """Clamp into the eps-ball around x_ref, then into the [0, 1] pixel range."""
+    """Clamp into the eps-ball around x_ref, then into the [0, 1] pixel range.
+
+    For x_ref in [0, 1] that is one clip to the box [max(x_ref - eps, 0),
+    min(x_ref + eps, 1)], bitwise the two clips; it is built in the output
+    and one temporary.
+    """
     if x_adv.shape != x_ref.shape:
         raise T.ShapeError(f"project_linf: shapes {x_adv.shape} != {x_ref.shape}")
-    out = np.clip(x_adv, x_ref - epsilon, x_ref + epsilon)
-    return np.clip(out, 0.0, 1.0, out=out)
+    bound = np.subtract(x_ref, epsilon)
+    out = np.maximum(x_adv, np.maximum(bound, 0.0, out=bound))
+    bound = np.add(x_ref, epsilon, out=bound)
+    return np.minimum(out, np.minimum(bound, 1.0, out=bound), out=out)
 
 
 def _margin_terms(scores: Tensor, own: np.ndarray, kappa: float,
@@ -224,9 +234,17 @@ def run_attack(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
             fooled |= wrong         # a copy: the loop below writes fooled
             rows = np.flatnonzero(~fooled)
             ctx = replace(context, labels=labels[rows])
-        # drawn for the whole batch, so the stream does not depend on who left
-        noise = context.rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape).astype(np.float32)
-        cur = project_linf(x[rows] + noise[rows], x[rows], eps)
+        # drawn for the whole batch, so the stream does not depend on who
+        # left, in row chunks: the same values in the same order
+        noise = np.empty(x.shape, np.float32)
+        chunk = max(1, _NOISE_CHUNK // max(1, math.prod(x.shape[1:])))
+        for i in range(0, len(x), chunk):
+            noise[i:i + chunk] = context.rng.uniform(
+                -cfg.epsilon, cfg.epsilon, size=noise[i:i + chunk].shape)
+        if len(rows) < len(x):
+            noise = noise[rows]
+        noise += x[rows]
+        cur = project_linf(noise, x[rows], eps)
         del noise
     # each left row's frozen point, each active row's best; allocated after
     # the first evaluation, the one with the most rows
@@ -255,7 +273,15 @@ def run_attack(model: models.ModelParams, x: np.ndarray, cfg: AttackConfig,
         best = np.where(improved, per, best)
         out[rows[improved]] = cur[improved]
         if stepping:
-            cur = project_linf(cur + step * np.sign(grad), x[rows], eps)
+            # cur + step * sign(grad) in one C-order buffer, the same bits;
+            # the gradient and the old iterate are dropped as soon as read
+            moved = np.sign(grad, out=np.empty(cur.shape, grad.dtype))
+            del grad
+            moved *= step
+            moved += cur
+            del cur
+            cur = project_linf(moved, x[rows], eps)
+            del moved
     if labels is not None:
         context.fooled = fooled
     return x.copy() if out is None else out

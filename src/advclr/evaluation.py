@@ -15,25 +15,31 @@ a cell of that key ``steps_from_clean``. Its misclassified rows give the
 clean accuracy, and every cell's attack reads it as ``context.clean`` in
 place of evaluating the batch again. The batch and the shared evaluation are
 read-only, so an attack that wrote into them would raise instead of
-corrupting the next cell. ``clean_accuracy`` is the sweep with no cells (one
-gradient-free ``supervised_ce`` evaluation per batch), ``robust_accuracy``
-its one-attack case, and ``eval_table`` runs it per model. Reports serialize
-to JSON (round-trip safe) and project to a flat CSV with columns model,
-attack, epsilon, accuracy.
+corrupting the next cell. When :func:`threads.worker_fits` allows it, a
+worker thread and the calling one take each batch's cells from one queue,
+longest first; each cell owns its generator and context, so every count is
+the one the cells give in turn. ``clean_accuracy`` is the sweep with no
+cells (one gradient-free ``supervised_ce`` evaluation per batch),
+``robust_accuracy`` its one-attack case, and ``eval_table`` runs it per
+model. Reports serialize to JSON (round-trip safe) and project to a flat CSV
+with columns model, attack, epsilon, accuracy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Sequence
 
 import numpy as np
 
-from . import attacks
+from . import attacks, threads
 from .attacks import AttackConfig, AttackContext
 from .data import DataError, Dataset
 from .models import ModelParams
@@ -118,6 +124,21 @@ def _read_only(arr):
     return arr
 
 
+def _drain(queue: deque, run_cell):
+    """Run cells from ``queue`` until it is empty; a failure empties it, so
+    that the other thread stops after its current cell."""
+    try:
+        while True:
+            try:
+                j = queue.popleft()
+            except IndexError:
+                return
+            run_cell(j)
+    except BaseException:
+        queue.clear()
+        raise
+
+
 def _sweep(model: ModelParams, dataset: Dataset,
            cells: Sequence[tuple[AttackConfig, int]],
            batch_size: int) -> tuple[int, list[int]]:
@@ -136,20 +157,35 @@ def _sweep(model: ModelParams, dataset: Dataset,
         cell_keys.append(key)
     keys = keys or {("supervised_ce", 0.0): False}
     rngs = [np.random.default_rng(seed) for _, seed in cells]
+    # the longest cells first, so that two threads finish a batch together
+    order = sorted(range(len(cells)), key=lambda j: -cells[j][0].num_steps)
     clean_correct, robust = 0, [0] * len(cells)
-    for start in range(0, len(dataset), batch_size):
-        images = _read_only(np.asarray(dataset.images[start:start + batch_size],
-                                       dtype=np.float32))
-        labels = _read_only(np.asarray(dataset.labels[start:start + batch_size]))
-        ctx = AttackContext(labels=labels)
-        clean = {key: tuple(map(_read_only, attacks._eval_objective(
-                     model, images, key[0], ctx, key[1], want_grad=grad)))
-                 for key, grad in keys.items()}
-        clean_correct += int((~next(iter(clean.values()))[2]).sum())
-        for j, (cfg, _) in enumerate(cells):
-            ctx = AttackContext(labels=labels, rng=rngs[j], clean=clean[cell_keys[j]])
-            attacks.run_attack(model, images, cfg, ctx)
-            robust[j] += int((~ctx.fooled).sum())
+    two_threads = len(cells) > 1 and threads.worker_fits()
+    # leaving the block joins the worker, also when this thread raised
+    with ThreadPoolExecutor(1) if two_threads else contextlib.nullcontext() as worker:
+        for start in range(0, len(dataset), batch_size):
+            images = _read_only(np.asarray(dataset.images[start:start + batch_size],
+                                           dtype=np.float32))
+            labels = _read_only(np.asarray(dataset.labels[start:start + batch_size]))
+            ctx = AttackContext(labels=labels)
+            clean = {key: tuple(map(_read_only, attacks._eval_objective(
+                         model, images, key[0], ctx, key[1], want_grad=grad)))
+                     for key, grad in keys.items()}
+            clean_correct += int((~next(iter(clean.values()))[2]).sum())
+
+            def run_cell(j):
+                ctx = AttackContext(labels=labels, rng=rngs[j], clean=clean[cell_keys[j]])
+                attacks.run_attack(model, images, cells[j][0], ctx)
+                robust[j] += int((~ctx.fooled).sum())
+
+            # each cell owns its generator and context and reads only the
+            # read-only batch and clean evaluation, so its count does not
+            # depend on which thread runs it, or when
+            queue = deque(order)
+            job = worker.submit(_drain, queue, run_cell) if worker else None
+            _drain(queue, run_cell)
+            if job is not None:
+                job.result()
     return clean_correct, robust
 
 

@@ -19,6 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 FLOAT_DTYPES = (np.float32, np.float64)
+# bytes of patch matrix that an off-tape kernel's conv2d builds at a time
+_BLOCK_BYTES = 1 << 19
 
 
 class ShapeError(ValueError):
@@ -145,7 +147,7 @@ class Tape:
                     grads[handle] = grads[handle] + contrib
                 else:
                     grads[handle] = contrib
-        return {handle: grads.get(handle, np.zeros_like(data))
+        return {handle: grads[handle] if handle in grads else np.zeros_like(data)
                 for handle, data in self._leaves}
 
 
@@ -235,8 +237,11 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    out = np.maximum(a.data, 0)
+    if a.tape is None:
+        return Tensor(out)
     mask = a.data > 0  # subgradient at 0 is 0
-    return _result("relu", np.maximum(a.data, 0), [(a, lambda g: g * mask)])
+    return _result("relu", out, [(a, lambda g: g * mask)])
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
@@ -334,6 +339,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     scatter-adds moves whole contiguous batch rows rather than short width
     strips. Elementwise numpy ops keep their input's memory order, so a
     conv -> norm -> relu output reaches the next conv already batch-last.
+    An off-tape kernel needs no weight gradient, so nothing keeps the patch
+    matrix: it is built and multiplied a block of output rows at a time. The
+    input gradient is one GEMM per kernel tap. Every element is the same dot
+    product as in one whole-matrix GEMM, and the taps add in the same order.
     """
     _check_dtypes("conv2d", (x, w))
     if x.ndim != 4 or w.ndim != 4:
@@ -354,28 +363,52 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     ho, wo = (hp - 3) // stride + 1, (wp - 3) // stride + 1
     dtype = x.data.dtype
 
-    # (u, v, the padded-input window that kernel tap (u, v) reads)
-    taps = [(u, v, (slice(None), slice(u, u + stride * ho, stride),
-                    slice(v, v + stride * wo, stride)))
-            for u in range(3) for v in range(3)]
+    taps = [(u, v) for u in range(3) for v in range(3)]
+
+    def window(u, v, r0=0, r1=ho):
+        """The padded-input window that kernel tap (u, v) reads for output rows r0:r1."""
+        return (slice(None), slice(u + stride * r0, u + stride * (r1 - 1) + 1, stride),
+                slice(v, v + stride * (wo - 1) + 1, stride))
 
     xp = np.zeros((cin, hp, wp, batch), dtype=dtype)
     xp[:, pad:pad + h, pad:pad + wdt] = x.data.transpose(1, 2, 3, 0)
-    cols = np.empty((cin, 3, 3, ho, wo, batch), dtype=dtype)
-    for u, v, window in taps:
-        cols[:, u, v] = xp[window]
-    cols = cols.reshape(cin * 9, ho * wo * batch)
+
+    def patches(r0, r1):
+        """The patch matrix of output rows r0:r1, (cin * 9, (r1 - r0) * wo * batch)."""
+        cols = np.empty((cin, 3, 3, r1 - r0, wo, batch), dtype=dtype)
+        for u, v in taps:
+            cols[:, u, v] = xp[window(u, v, r0, r1)]
+        return cols.reshape(cin * 9, -1)
+
     wmat = w.data.reshape(cout, cin * 9)
-    out = (wmat @ cols).reshape(cout, ho, wo, batch).transpose(3, 0, 1, 2)
+    row = wo * batch    # output columns per output row
+    if w.tape is None:
+        # no pull_w keeps the patch matrix: GEMM it a block of rows at a
+        # time, each output element the same dot product as in one GEMM
+        cols = None
+        out = np.empty((cout, ho * row), dtype=dtype)
+        step = max(1, _BLOCK_BYTES // (cin * 9 * row * xp.itemsize))
+        for r0 in range(0, ho, step):
+            r1 = min(ho, r0 + step)
+            np.matmul(wmat, patches(r0, r1), out=out[:, r0 * row:r1 * row])
+    else:
+        cols = patches(0, ho)
+        del xp
+        out = wmat @ cols
+    out = out.reshape(cout, ho, wo, batch).transpose(3, 0, 1, 2)
 
     def batch_last(g):
-        return g.transpose(1, 2, 3, 0).reshape(cout, ho * wo * batch)
+        return g.transpose(1, 2, 3, 0).reshape(cout, ho * row)
 
     def pull_x(g):
-        gcols = (wmat.T @ batch_last(g)).reshape(cin, 3, 3, ho, wo, batch)
+        # one GEMM per kernel tap, each scatter-added as soon as it is made
+        wtaps = np.ascontiguousarray(wmat.reshape(cout, cin, 3, 3).transpose(2, 3, 0, 1))
+        gmat = batch_last(g)
+        gtap = np.empty((cin, ho * row), dtype=g.dtype)
         gxp = np.zeros((cin, hp, wp, batch), dtype=g.dtype)
-        for u, v, window in taps:
-            gxp[window] += gcols[:, u, v]
+        for u, v in taps:
+            np.matmul(wtaps[u, v].T, gmat, out=gtap)
+            gxp[window(u, v)] += gtap.reshape(cin, ho, wo, batch)
         return gxp[:, pad:pad + h, pad:pad + wdt].transpose(3, 0, 1, 2)
 
     def pull_w(g):
@@ -440,7 +473,8 @@ def channel_norm(x: Tensor, scale: Tensor, shift: Tensor, stats=None,
     inv = (1.0 / np.sqrt(var + eps)).astype(xd.dtype).reshape(view)
     eff = scale.data.reshape(view) * inv
     mean_x = mean.astype(xd.dtype).reshape(view)
-    out = xd * eff + (shift.data.reshape(view) - eff * mean_x)
+    out = xd * eff
+    out += shift.data.reshape(view) - eff * mean_x
     # the training pulls hold xhat, not x: a tape keeps no conv output alive
     if stats is None:
         xhat = centered * inv

@@ -12,11 +12,8 @@ weights.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -24,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import attacks, data, losses, models, tensor as T
+from . import attacks, data, losses, models, tensor as T, threads
 from .attacks import AttackConfig, AttackContext
 from .data import AugmentPolicy, Dataset, check_range
 from .models import ModelParams
@@ -217,34 +214,6 @@ def _momentum_on_cosine(cfg: SupervisedConfig, n: int):
                 params, grads, state, lr, cfg.momentum))
 
 
-def blas_threads() -> int | None:
-    """How many threads numpy's bundled OpenBLAS runs, None when it cannot be read."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for lib in glob.glob(os.path.join(libs, "*openblas*")):
-        try:
-            handle = ctypes.CDLL(lib)    # the copy numpy loaded, not a second one
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                return fn()
-    return None
-
-
-def view_threads() -> bool:
-    """Whether ACT makes its two views on two threads at once.
-
-    Only when each view thread has as many usable CPUs of its own as BLAS runs
-    threads; otherwise the two threads and BLAS's own oversubscribe the cores
-    and the views are faster one after the other. An unknown BLAS counts as
-    not leaving room.
-    """
-    threads = blas_threads()
-    return threads is not None and len(os.sched_getaffinity(0)) >= 2 * threads
-
-
 def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig,
                  out_dir: str | None = None,
                  proj_dim: int = 128) -> tuple[ModelParams, TrainLog]:
@@ -254,7 +223,7 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
     image against the current weights, then descend the contrastive loss over
     the (clean, PGD, CW) projections with momentum SGD on a cosine schedule.
 
-    When :func:`view_threads` allows it, a worker thread makes the CW view
+    When :func:`threads.worker_fits` allows it, a worker thread makes the CW view
     while this thread makes the PGD view. Each view draws its random start
     from a generator of its own, so the weights are bitwise those of making
     the views one after the other.
@@ -266,7 +235,7 @@ def act_pretrain(dataset: Dataset, spec: models.EncoderSpec, cfg: PretrainConfig
     cw_rng = np.random.default_rng(seeds[3])
     params = models.init_params(spec, dataset.num_classes, cfg.seed, proj_dim)
     views = [0, 0]      # PGD and CW views made this epoch
-    two_threads = view_threads()
+    two_threads = threads.worker_fits()
 
     def batch_loss(idx, leaves):
         x_aug = data.augment_batch(dataset.images[idx], cfg.augment, aug_rng)

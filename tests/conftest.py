@@ -1,11 +1,14 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
 import advclr as A
-from advclr import data, training
+from advclr import attacks, data, threads, training
 from advclr import tensor as T
 from advclr.models import ModelParams
-from advclr.tensor import Tensor
+from advclr.tensor import NumericError, Tensor
 
 
 TOY_SPEC = A.EncoderSpec("toy_conv", (8, 16, 32))
@@ -123,3 +126,31 @@ def tape_finetune(dataset, encoder: ModelParams, cfg: training.FinetuneConfig):
                                         "classifier.b": grads[b.handle]}, state, cfg.lr)
         epoch_losses.append(float(np.mean(batch_losses)))
     return {name: params.arrays[name] for name in ("classifier.w", "classifier.b")}, epoch_losses
+
+
+def force_cpus(monkeypatch, n, blas=1):
+    """Make ``threads.worker_fits`` see ``n`` usable CPUs and ``blas`` BLAS threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(threads, "blas_threads", lambda: blas)
+
+
+def cell_threads(monkeypatch, fail_on=None):
+    """Record the thread of each cell, for a sweep with a worker thread: the
+    calling thread's cells wait until the worker has started one. ``fail_on``
+    ("main" or "worker") names the thread whose cells raise NumericError."""
+    main, worker_started = threading.get_ident(), threading.Event()
+    real_run, seen = attacks.run_attack, []
+
+    def run_spy(*args, **kwargs):
+        on_main = threading.get_ident() == main
+        seen.append(threading.get_ident())
+        if not on_main:
+            worker_started.set()
+        if fail_on == ("main" if on_main else "worker"):
+            raise NumericError(f"cell failed on the {fail_on} thread")
+        if on_main:
+            worker_started.wait(10)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, "run_attack", run_spy)
+    return seen

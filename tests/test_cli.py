@@ -1,16 +1,19 @@
 """End-to-end command-line driver checks on a miniature pipeline."""
 
+import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import advclr
-from advclr import attacks, cli, config, evaluation, models, training
+from advclr import attacks, cli, config, evaluation, models
 from advclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK
 from advclr.tensor import NumericError
+from conftest import cell_threads, force_cpus
 
 TINY_CFG = """
 [run]
@@ -375,12 +378,55 @@ def test_failing_cw_view_is_numeric_error(cfg_file, tmp_path, monkeypatch, capsy
     def failing_view(*args):
         raise NumericError("cw view failed")
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(training, "blas_threads", lambda: 1)
+    force_cpus(monkeypatch, 2)
     monkeypatch.setattr(attacks, "cw", failing_view)
     assert cli.main(["pretrain", "--config", cfg_file,
                      "--run-dir", str(tmp_path / "run")]) == EXIT_NUMERIC
     assert "cw view failed" in capsys.readouterr().err
+
+
+def test_failing_cell_on_the_worker_is_numeric_error(cfg_file, tmp_path, monkeypatch,
+                                                     capsys):
+    # two usable CPUs and one BLAS thread, so a worker thread shares the cells
+    ckpt = str(tmp_path / "model.ckpt")
+    models.save_checkpoint(ckpt, models.init_params(
+        models.EncoderSpec("toy_conv", (4, 6, 8)), num_classes=4, seed=0, proj_dim=8))
+    force_cpus(monkeypatch, 2)
+    seen = cell_threads(monkeypatch, fail_on="worker")
+    assert cli.main(["evaluate", "--config", cfg_file, "--checkpoint", ckpt,
+                     "--run-dir", str(tmp_path / "ev")]) == EXIT_NUMERIC
+    assert set(seen) - {threading.get_ident()}     # the worker ran a cell
+    assert "cell failed on the worker thread" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_evaluate_reports_equal_at_one_and_default_blas_threads(cfg_file, tmp_path):
+    # one BLAS thread opens the worker-thread sweep on any host with two
+    # CPUs; BLAS's default thread count does not on a 2-CPU host
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(Path(cfg_file).read_text()
+                   .replace("kinds = fgsm,pgd", "kinds = fgsm,pgd,cw\nkappa = 0.5")
+                   .replace("\nsteps = 2", "\nsteps = 3")
+                   .replace("batch_size = 64", "batch_size = 16"))
+    assert cli.main(["baseline", "--config", str(cfg),
+                     "--run-dir", str(tmp_path / "base")]) == EXIT_OK
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(advclr.__file__)))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    reports = {}
+    for blas in ("1", None):
+        run_dir = tmp_path / f"ev-{blas}"
+        done = subprocess.run(
+            [sys.executable, "-m", "advclr.cli", "evaluate", "--config", str(cfg),
+             "--checkpoint", str(tmp_path / "base" / "model.ckpt"), "--run-dir", str(run_dir)],
+            env=dict(env, OPENBLAS_NUM_THREADS=blas) if blas else env,
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == EXIT_OK, done.stderr
+        report = json.loads((run_dir / "report-model.json").read_text())
+        reports[blas] = (report["clean_accuracy"], report["cells"])
+    assert len(reports["1"][1]) == 3 * 2
+    assert reports["1"] == reports[None]
 
 
 # evaluate with the process's file-size limit below the report's size: the

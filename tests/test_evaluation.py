@@ -1,5 +1,9 @@
 """Accuracy measurement, the report container, and its projections."""
 
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,8 @@ from advclr import attacks, data, evaluation, models, tensor as T
 from advclr.attacks import AttackConfig, AttackContext
 from advclr.data import DataError
 from advclr.evaluation import EvalReport
+from advclr.tensor import NumericError
+from conftest import cell_threads, force_cpus
 
 
 def rigged_constant_model(label, num_classes=10):
@@ -255,18 +261,20 @@ class TestEvalTable:
         grid = [AttackConfig("pgd", 0.03, num_steps=3, random_start=True),
                 AttackConfig("fgsm", 0.03), AttackConfig("cw", 0.03, num_steps=3)]
         real_eval, real_run = attacks._eval_objective, attacks.run_attack
-        outside, inside, attacking = [], [], []
+        outside, inside = [], []
+        # per thread: a worker thread's attack must not count as outside
+        attacking = threading.local()
 
         def eval_spy(model, xq, mode, *args, **kwargs):
-            (inside if attacking else outside).append((mode, xq))
+            (inside if getattr(attacking, "depth", 0) else outside).append((mode, xq))
             return real_eval(model, xq, mode, *args, **kwargs)
 
         def run_spy(*args, **kwargs):
-            attacking.append(True)
+            attacking.depth = getattr(attacking, "depth", 0) + 1
             try:
                 return real_run(*args, **kwargs)
             finally:
-                attacking.pop()
+                attacking.depth -= 1
 
         def no_forward(*args, **kwargs):
             raise AssertionError("eval_table ran a separate clean forward")
@@ -290,3 +298,47 @@ class TestEvalTable:
                                         [AttackConfig("fgsm", 0.03)], test, seed=0)
         text = evaluation.render_reports(reports)
         assert "clean accuracy" in text and "fgsm" in text
+
+
+class TestThreadedSweep:
+    """With two usable CPUs per BLAS thread a worker thread shares each
+    batch's cells, and the reports are bitwise those of one thread."""
+
+    GRID = [AttackConfig("fgsm", 0.03),
+            AttackConfig("pgd", 0.03, num_steps=3, random_start=True),
+            AttackConfig("cw", 0.03, num_steps=3, kappa=0.5),
+            AttackConfig("pgd", 0.0, num_steps=2, random_start=True),
+            AttackConfig("fgsm", 0.08)]
+
+    def test_two_threads_equal_one(self, toy_baseline, toy_data, monkeypatch):
+        _, test = toy_data
+        batch = 70
+        assert len(test) % batch        # a partial last batch
+        runs = {}
+        for cpus in (1, 2):
+            force_cpus(monkeypatch, cpus)
+            seen = cell_threads(monkeypatch) if cpus == 2 else []
+            threads, interval = threading.active_count(), sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)     # switch threads often: a lost count shows
+            try:
+                reports = evaluation.eval_table([("m", toy_baseline)], self.GRID, test,
+                                                seed=4, batch_size=batch)
+            finally:
+                sys.setswitchinterval(interval)
+            assert threading.active_count() == threads
+            runs[cpus] = [dict(r.to_dict(), timestamp=None) for r in reports]
+            monkeypatch.undo()
+        assert runs[1] == runs[2]
+        assert threading.get_ident() in seen and len(set(seen)) == 2
+        assert len(seen) == len(self.GRID) * math.ceil(len(test) / batch)
+
+    @pytest.mark.parametrize("fail_on", ["main", "worker"])
+    def test_failing_cell_is_raised_and_the_worker_joined(self, toy_baseline, toy_data,
+                                                           monkeypatch, fail_on):
+        _, test = toy_data
+        force_cpus(monkeypatch, 2)
+        cell_threads(monkeypatch, fail_on)
+        threads = threading.active_count()
+        with pytest.raises(NumericError, match=f"on the {fail_on} thread"):
+            evaluation.eval_table([("m", toy_baseline)], self.GRID, test, batch_size=100)
+        assert threading.active_count() == threads

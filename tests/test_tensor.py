@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from advclr import tensor as T
+from advclr import models, tensor as T
 from advclr.tensor import NumericError, ShapeError, Tape, constant
 from conftest import composed_cross_entropy_terms
 
@@ -325,3 +325,70 @@ def test_softmax_cross_entropy_equals_composed_ops_bitwise(upstream):
         loss = terms.mean() if upstream == "mean" else T.mul(terms, weight).sum()
         results.append((terms.data.tobytes(), tape.backward(loss)[x.handle].tobytes()))
     assert results[0] == results[1]
+
+
+def _whole_matrix_conv(x, w, stride, g):
+    """conv2d's forward and input gradient with the whole patch matrix: one
+    GEMM for the output and one for every tap's gradient."""
+    batch, cin, h, wdt = x.shape
+    cout = w.shape[0]
+    ho, wo = (h - 1) // stride + 1, (wdt - 1) // stride + 1
+    windows = [(u, v, (slice(None), slice(u, u + stride * ho, stride),
+                       slice(v, v + stride * wo, stride)))
+               for u in range(3) for v in range(3)]
+    xp = np.zeros((cin, h + 2, wdt + 2, batch), dtype=x.dtype)
+    xp[:, 1:1 + h, 1:1 + wdt] = x.transpose(1, 2, 3, 0)
+    cols = np.empty((cin, 3, 3, ho, wo, batch), dtype=x.dtype)
+    for u, v, window in windows:
+        cols[:, u, v] = xp[window]
+    wmat = w.reshape(cout, cin * 9)
+    out = (wmat @ cols.reshape(cin * 9, -1)).reshape(cout, ho, wo, batch)
+    gcols = (wmat.T @ g.transpose(1, 2, 3, 0).reshape(cout, -1)).reshape(
+        cin, 3, 3, ho, wo, batch)
+    gxp = np.zeros_like(xp)
+    for u, v, window in windows:
+        gxp[window] += gcols[:, u, v]
+    return out.transpose(3, 0, 1, 2), gxp[:, 1:1 + h, 1:1 + wdt].transpose(3, 0, 1, 2)
+
+
+def _layer_shapes():
+    """(in channels, out channels, input side, stride) of every conv in the
+    default toy_conv and resnet_small encoders on 16x16 images."""
+    shapes = set()
+    real = T.conv2d
+
+    def spy(x, w, stride=1, pad=1):
+        shapes.add((x.shape[1], w.shape[0], x.shape[2], stride))
+        return real(x, w, stride, pad)
+
+    T.conv2d = spy
+    try:
+        for kind in ("toy_conv", "resnet_small"):
+            params = models.init_params(models.EncoderSpec(kind, (8, 16, 32)), 10, seed=0)
+            models.encode(params, np.zeros((1, 3, 16, 16), np.float32))
+    finally:
+        T.conv2d = real
+    return sorted(shapes)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 256, 300])
+@pytest.mark.parametrize("cin,cout,side,stride", _layer_shapes())
+def test_conv2d_blocks_and_taps_equal_the_whole_matrix_bitwise(cin, cout, side, stride,
+                                                               batch):
+    # an off-tape kernel builds and multiplies the patch matrix a block of
+    # output rows at a time, and pull_x runs one GEMM per tap
+    rng = np.random.default_rng(cin * 1000 + side * 10 + batch)
+    x = rng.uniform(0, 1, (batch, cin, side, side)).astype(np.float32)
+    w = (rng.standard_normal((cout, cin, 3, 3)) * 0.3).astype(np.float32)
+    side_out = (side - 1) // stride + 1
+    g = rng.standard_normal((batch, cout, side_out, side_out)).astype(np.float32)
+    want_out, want_gx = _whole_matrix_conv(x, w, stride, g)
+
+    tape = Tape()
+    xt = tape.leaf(x, requires_grad=True)
+    out = T.conv2d(xt, constant(w), stride=stride)
+    gx = tape.backward(T.tsum(T.mul(out, constant(g))))[xt.handle]
+    taped_kernel = T.conv2d(constant(x), Tape().leaf(w, requires_grad=True), stride=stride)
+    for got, want in ((out.data, want_out), (taped_kernel.data, want_out), (gx, want_gx)):
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()

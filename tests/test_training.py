@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import advclr as A
-from advclr import attacks, data, models, training
+from advclr import attacks, data, models, threads, training
 from advclr.tensor import NumericError, ShapeError
 from advclr.training import (EpochRecord, FinetuneConfig, PretrainConfig,
                              SupervisedConfig, TrainLog, adam_step, cosine_lr,
                              sgd_momentum_step)
-from conftest import tape_finetune
+from conftest import force_cpus, tape_finetune
 
 SPEC = A.EncoderSpec("toy_conv", (4, 6, 8))
 
@@ -162,11 +162,6 @@ class TestActPretrain:
         assert (tmp_path / "pretrain-epoch1.ckpt").exists()
 
 
-def _cpus(monkeypatch, n, blas=1):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(training, "blas_threads", lambda: blas)
-
-
 def _view_spy(monkeypatch):
     """Record each view's kind, thread and generator as act_pretrain calls it."""
     calls = []
@@ -193,13 +188,13 @@ class TestViewThreads:
         (8, None, False),
     ])
     def test_threads_only_when_blas_leaves_room(self, monkeypatch, cpus, blas, threaded):
-        _cpus(monkeypatch, cpus, blas)
-        assert training.view_threads() == threaded
+        force_cpus(monkeypatch, cpus, blas)
+        assert threads.worker_fits() == threaded
 
     def test_blas_threads_reads_the_loaded_blas(self):
-        if training.blas_threads() is None:
+        if threads.blas_threads() is None:
             pytest.skip("numpy bundles no OpenBLAS here")
-        code = "from advclr import training; print(training.blas_threads())"
+        code = "from advclr import threads; print(threads.blas_threads())"
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.path.dirname(os.path.dirname(A.__file__)))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -219,7 +214,7 @@ class TestViewThreads:
             cfg.pgd_view = pgd_view
         runs = {}
         for n in (1, 2):
-            _cpus(monkeypatch, n)
+            force_cpus(monkeypatch, n)
             calls = _view_spy(monkeypatch)
             out = tmp_path / str(n)
             out.mkdir()
@@ -246,7 +241,7 @@ class TestViewThreads:
         for random_start in (True, False):
             cfg = fast_pretrain_cfg(2)
             cfg.pgd_view = replace(cfg.pgd_view, random_start=random_start)
-            _cpus(monkeypatch, cpus)
+            force_cpus(monkeypatch, cpus)
             seen = []
 
             def spy(model, x, view, ctx, _fn=attacks.cw):
@@ -264,7 +259,7 @@ class TestViewThreads:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failing_cw_view_is_raised(self, monkeypatch, cpus):
-        _cpus(monkeypatch, cpus)
+        force_cpus(monkeypatch, cpus)
         monkeypatch.setattr(attacks, "cw", _fails("cw view failed"))
         threads = threading.active_count()
         with pytest.raises(NumericError, match="cw view failed"):
@@ -272,7 +267,7 @@ class TestViewThreads:
         assert threading.active_count() == threads
 
     def test_failing_pgd_view_joins_worker(self, monkeypatch):
-        _cpus(monkeypatch, 2)
+        force_cpus(monkeypatch, 2)
         finished = []
 
         def slow_cw(*args):
