@@ -9,6 +9,10 @@ Two encoder families share one parameter container:
   residual blocks (two 3x3 convs with an identity skip), then global
   average pooling.
 
+``_conv_layers`` is the one description of each encoder: the weight layout
+(which initialization and checkpoint validation read) and the forward pass
+both walk it.
+
 Channel norm standardizes with current-batch statistics in training mode
 (fully differentiated) and with frozen running statistics in eval mode, then
 applies a learned per-channel scale and shift. Eval-mode forward passes are
@@ -95,9 +99,24 @@ class ModelParams:
         self.spec.check_image_size(dataset.image_size)
 
 
-def _add_norm(arrays, buffers, name: str, channels: int):
-    arrays[f"{name}.scale"] = arrays[f"{name}.shift"] = (channels,)
-    buffers[f"{name}.mean"] = buffers[f"{name}.var"] = (channels,)
+def _conv_layers(spec: EncoderSpec):
+    """Each conv layer (3x3 conv -> channel norm -> relu) of ``spec``'s encoder
+    in forward order, as (conv name, norm name, in channels, out channels,
+    stride, place). ``place`` is "pool" for a 2x2 max pool after the relu,
+    "block_start" for a residual block's first conv (its input is the skip),
+    "block_end" for its last (the skip joins before the relu), else None."""
+    if spec.kind == "toy_conv":
+        for i, (cin, cout) in enumerate(zip((3,) + spec.widths, spec.widths), start=1):
+            yield f"encoder.conv{i}", f"encoder.norm{i}", cin, cout, 2, None
+        return
+    yield "encoder.stem", "encoder.stem_norm", 3, spec.widths[0], 1, "pool"
+    for s, (prev, width) in enumerate(zip(spec.widths[:1] + spec.widths, spec.widths)):
+        if s > 0:
+            yield f"encoder.down{s}", f"encoder.down{s}_norm", prev, width, 2, None
+        for b in range(spec.blocks_per_stage):
+            base = f"encoder.s{s}b{b}"
+            yield f"{base}.conv1", f"{base}.norm1", width, width, 1, "block_start"
+            yield f"{base}.conv2", f"{base}.norm2", width, width, 1, "block_end"
 
 
 def _layout(spec: EncoderSpec, num_classes: int,
@@ -107,28 +126,10 @@ def _layout(spec: EncoderSpec, num_classes: int,
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
     arrays: dict[str, tuple] = {}
     buffers: dict[str, tuple] = {}
-    if spec.kind == "toy_conv":
-        cin = 3
-        for i, cout in enumerate(spec.widths, start=1):
-            arrays[f"encoder.conv{i}.w"] = (cout, cin, 3, 3)
-            _add_norm(arrays, buffers, f"encoder.norm{i}", cout)
-            cin = cout
-    else:
-        w0 = spec.widths[0]
-        arrays["encoder.stem.w"] = (w0, 3, 3, 3)
-        _add_norm(arrays, buffers, "encoder.stem_norm", w0)
-        prev = w0
-        for s, width in enumerate(spec.widths):
-            if s > 0:
-                arrays[f"encoder.down{s}.w"] = (width, prev, 3, 3)
-                _add_norm(arrays, buffers, f"encoder.down{s}_norm", width)
-            for b in range(spec.blocks_per_stage):
-                base = f"encoder.s{s}b{b}"
-                arrays[f"{base}.conv1.w"] = (width, width, 3, 3)
-                _add_norm(arrays, buffers, f"{base}.norm1", width)
-                arrays[f"{base}.conv2.w"] = (width, width, 3, 3)
-                _add_norm(arrays, buffers, f"{base}.norm2", width)
-            prev = width
+    for conv, norm, cin, cout, _, _ in _conv_layers(spec):
+        arrays[f"{conv}.w"] = (cout, cin, 3, 3)
+        arrays[f"{norm}.scale"] = arrays[f"{norm}.shift"] = (cout,)
+        buffers[f"{norm}.mean"] = buffers[f"{norm}.var"] = (cout,)
     emb = spec.embedding_dim
     # bias-free head keeps it positively homogeneous, so the normalized
     # output is exactly invariant to positive rescaling of the embeddings
@@ -170,11 +171,6 @@ def _norm_forward(pt: dict, params: ModelParams, name: str, x: Tensor,
     return out
 
 
-def _conv_block(pt, params, conv_name, norm_name, x, stride, train):
-    h = T.conv2d(x, pt[f"{conv_name}.w"], stride=stride, pad=1)
-    return T.relu(_norm_forward(pt, params, norm_name, h, train))
-
-
 def _as_input(x, dtype) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -192,26 +188,17 @@ def encode(params: ModelParams, batch, train: bool = False,
     if x.ndim != 4 or x.shape[1] != 3:
         raise T.ShapeError(f"encode: expected (B, 3, H, W) input, got {x.shape}")
     pt = lifted if lifted is not None else _constant_params(params, x.data.dtype)
-    spec = params.spec
-    if spec.kind == "toy_conv":
-        h = x
-        for i in range(1, 4):
-            h = _conv_block(pt, params, f"encoder.conv{i}", f"encoder.norm{i}",
-                            h, stride=2, train=train)
-        return T.global_avg_pool(h)
-    h = _conv_block(pt, params, "encoder.stem", "encoder.stem_norm", x, 1, train)
-    h = T.max_pool2(h)
-    for s in range(len(spec.widths)):
-        if s > 0:
-            h = _conv_block(pt, params, f"encoder.down{s}",
-                            f"encoder.down{s}_norm", h, 2, train)
-        for b in range(spec.blocks_per_stage):
-            base = f"encoder.s{s}b{b}"
-            inner = _conv_block(pt, params, f"{base}.conv1", f"{base}.norm1",
-                                h, 1, train)
-            inner = T.conv2d(inner, pt[f"{base}.conv2.w"], stride=1, pad=1)
-            inner = _norm_forward(pt, params, f"{base}.norm2", inner, train)
-            h = T.relu(T.add(h, inner))
+    h = x
+    for conv, norm, _, _, stride, place in _conv_layers(params.spec):
+        if place == "block_start":
+            skip = h
+        h = T.conv2d(h, pt[f"{conv}.w"], stride=stride, pad=1)
+        h = _norm_forward(pt, params, norm, h, train)
+        if place == "block_end":
+            h = T.add(skip, h)
+        h = T.relu(h)
+        if place == "pool":
+            h = T.max_pool2(h)
     return T.global_avg_pool(h)
 
 
@@ -278,14 +265,11 @@ def atomic_open(path: str, mode: str = "w", **kwargs):
 
 def save_checkpoint(path: str, params: ModelParams, meta: dict | None = None):
     """Write a versioned, language-neutral checkpoint file."""
-    names = sorted(params.arrays) + sorted(params.buffers)
-    index = []
-    for name in sorted(params.arrays):
-        index.append({"name": name, "shape": list(params.arrays[name].shape),
-                      "kind": "param"})
-    for name in sorted(params.buffers):
-        index.append({"name": name, "shape": list(params.buffers[name].shape),
-                      "kind": "buffer"})
+    entries = [(kind, name, store[name])
+               for kind, store in (("param", params.arrays), ("buffer", params.buffers))
+               for name in sorted(store)]
+    index = [{"name": name, "shape": list(arr.shape), "kind": kind}
+             for kind, name, arr in entries]
     header = {
         "format_version": CHECKPOINT_VERSION,
         "encoder": params.spec.to_dict(),
@@ -300,9 +284,8 @@ def save_checkpoint(path: str, params: ModelParams, meta: dict | None = None):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(np.array(len(blob), dtype="<u4").tobytes())
         fh.write(blob)
-        for name in names:
-            source = params.arrays if name in params.arrays else params.buffers
-            fh.write(np.ascontiguousarray(source[name], dtype="<f4").tobytes())
+        for _, _, arr in entries:
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path: str) -> ModelParams:

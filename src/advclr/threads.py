@@ -41,4 +41,11 @@ def worker_fits() -> bool:
     not leaving room.
     """
     threads = blas_threads()
-    return threads is not None and len(os.sched_getaffinity(0)) >= 2 * threads
+    return threads is not None and usable_cpus() >= 2 * threads
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity set where the
+    platform has one (Linux), else the machine's CPU count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1

@@ -6,8 +6,8 @@ the linear probe computes its gradient in closed form.
 
 All loops are deterministic for a fixed (dataset, spec, config, seed): every
 random decision (shuffling, augmentation, attack starts) is drawn from child
-generators of one seed sequence, so repeated runs produce bitwise-identical
-weights.
+generators of one seed sequence, so repeated runs at a fixed BLAS thread
+count produce bitwise-identical weights.
 """
 
 from __future__ import annotations

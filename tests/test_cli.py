@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import advclr
-from advclr import attacks, cli, config, evaluation, models
+from advclr import attacks, cli, config, evaluation, models, threads
 from advclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK
 from advclr.tensor import NumericError
 from conftest import cell_threads, force_cpus
@@ -400,7 +400,7 @@ def test_failing_cell_on_the_worker_is_numeric_error(cfg_file, tmp_path, monkeyp
     assert not (tmp_path / "ev").exists()
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+@pytest.mark.skipif(threads.usable_cpus() < 2, reason="needs two usable CPUs")
 def test_evaluate_reports_equal_at_one_and_default_blas_threads(cfg_file, tmp_path):
     # one BLAS thread opens the worker-thread sweep on any host with two
     # CPUs; BLAS's default thread count does not on a 2-CPU host

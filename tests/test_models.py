@@ -104,6 +104,42 @@ class TestEncode:
             models.encode(params, np.zeros((2, 1, 8, 8), dtype=np.float32))
 
 
+class _Spy(dict):
+    """A dict that records the keys read from it and the keys written to it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read, self.written = [], []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.written.append(key)
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("spec", [
+    EncoderSpec("toy_conv", (8, 16, 32)), EncoderSpec("toy_conv", (4, 6, 8)),
+    *(EncoderSpec("resnet_small", widths, blocks_per_stage=blocks)
+      for widths in ((4,), (4, 6), (4, 6, 8)) for blocks in (1, 2)),
+], ids=lambda s: f"{s.kind}-{'-'.join(map(str, s.widths))}-x{s.blocks_per_stage}")
+def test_layout_names_what_the_forward_pass_reads(spec):
+    # init_params and checkpoint validation read _layout; the forward pass
+    # must read exactly its weights, in its order, and update exactly its buffers
+    params = models.init_params(spec, 3, seed=0, proj_dim=5)
+    weights, buffers = models._layout(spec, 3, 5)
+    lifted = _Spy({name: T.constant(arr) for name, arr in params.arrays.items()})
+    params.buffers = _Spy(params.buffers)
+    images = rand_images(np.random.default_rng(0), 4)
+    emb = models.encode(params, images, train=True, lifted=lifted)
+    models.project(params, emb, lifted=lifted)
+    models.classify(params, emb, lifted=lifted)
+    assert lifted.read == list(weights)
+    assert params.buffers.written == list(buffers)
+
+
 class TestProject:
     @pytest.fixture()
     def params(self):

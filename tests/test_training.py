@@ -191,6 +191,14 @@ class TestViewThreads:
         force_cpus(monkeypatch, cpus, blas)
         assert threads.worker_fits() == threaded
 
+    @pytest.mark.parametrize("cpus,threaded", [(1, False), (2, True), (None, False)])
+    def test_cpu_count_where_the_platform_has_no_affinity(self, monkeypatch, cpus,
+                                                           threaded):
+        force_cpus(monkeypatch, 8)
+        monkeypatch.delattr(os, "sched_getaffinity")     # as on Windows and macOS
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert threads.worker_fits() == threaded
+
     def test_blas_threads_reads_the_loaded_blas(self):
         if threads.blas_threads() is None:
             pytest.skip("numpy bundles no OpenBLAS here")
