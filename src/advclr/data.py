@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 CIFAR10_CLASSES = ["airplane", "automobile", "bird", "cat", "deer",
                    "dog", "frog", "horse", "ship", "truck"]
@@ -185,6 +186,15 @@ def make_synthetic(num_classes: int, per_class: int, image_size: int = 16,
     return Dataset(images, labels, names, split=split)
 
 
+def _reflect_index(size: int, pad: int) -> np.ndarray:
+    """The source index of each position of a length-``size`` axis padded by
+    ``pad`` on both ends as ``np.pad(mode="reflect")`` pads it."""
+    i = np.abs(np.arange(-pad, size + pad))
+    period = max(2 * (size - 1), 1)
+    i %= period
+    return np.minimum(i, period - i)
+
+
 def augment_batch(images: np.ndarray, policy: AugmentPolicy,
                   rng: np.random.Generator) -> np.ndarray:
     """Per-image reflection-pad random crop plus random horizontal flip.
@@ -196,13 +206,11 @@ def augment_batch(images: np.ndarray, policy: AugmentPolicy,
     out = images
     pad = policy.crop_pad
     if pad > 0:
-        padded = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                        mode="reflect")
+        padded = images.take(_reflect_index(h, pad), axis=2).take(_reflect_index(w, pad), axis=3)
         offs = rng.integers(0, 2 * pad + 1, size=(n, 2))
-        out = np.empty_like(images)
-        for i in range(n):
-            oy, ox = offs[i]
-            out[i] = padded[i, :, oy:oy + h, ox:ox + w]
+        # each image's crop, in one gather from the (n, c, oy, ox, h, w) crop view
+        crops = sliding_window_view(padded, (h, w), axis=(2, 3))
+        out = crops[np.arange(n), :, offs[:, 0], offs[:, 1]]
     if policy.hflip_prob > 0:
         flips = rng.random(n) < policy.hflip_prob
         out = out.copy() if out is images else out

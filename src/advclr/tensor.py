@@ -3,6 +3,16 @@
 Values are numpy arrays (float32 or float64). Shape is the contract, memory
 order is not: an op may return a non-contiguous view (conv2d returns NCHW
 views of batch-last memory), and every op accepts any memory order.
+
+A gradient keeps the memory order of the tensor it differentiates: the
+gradient that reaches an op is laid out like the op's output. In the encoder
+every 4-d value after the input batch is batch-last (conv2d and max_pool2
+write it, elementwise ops keep their operands' order), and every 4-d pull
+returns a batch-last gradient, so the whole backward runs in one memory
+order; numpy runs an elementwise op on operands of two orders many times
+slower. A leaf gets what its pull returns: an input batch's gradient is
+batch-last.
+
 Differentiable computations are recorded on a ``Tape``: a tensor is on a
 tape exactly when a gradient flows into it. Gradient leaves are created with
 ``Tape.leaf``, every operation with an input on the tape appends a node, and
@@ -419,26 +429,42 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     return _result("conv2d", out, [(x, pull_x), (w, pull_w)])
 
 
+def _takes(later: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Where ``later`` displaces ``first`` under argmax's rule: larger, or NaN
+    against a number; a tie, or NaN against NaN, keeps the first."""
+    return (later > first) | (np.isnan(later) & ~np.isnan(first))
+
+
 def max_pool2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; spatial dims must be even."""
+    """2x2 max pooling with stride 2; spatial dims must be even.
+
+    Pools in batch-last memory (channels, H, W, batch) and returns an NCHW
+    view of it, so a conv2d output stays batch-last. Each window's taps are
+    scanned in argmax order (0,0), (0,1), (1,0), (1,1): the first max wins,
+    and the gradient flows to it alone.
+    """
     if x.ndim != 4:
         raise ShapeError(f"max_pool2: expected 4-d input, got {x.shape}")
     batch, ch, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool2: spatial dims must be even, got {h}x{w}")
-    ho, wo = h // 2, w // 2
-    windows = x.data.reshape(batch, ch, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5)
-    windows = np.ascontiguousarray(windows).reshape(batch, ch, ho, wo, 4)
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    xb = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
+    taps = [(slice(None), slice(u, None, 2), slice(v, None, 2)) for u in (0, 1) for v in (0, 1)]
+    out, winner = xb[taps[0]], np.zeros(xb[taps[0]].shape, np.uint8)
+    for k, tap in enumerate(taps[1:], start=1):
+        takes = _takes(xb[tap], out)
+        out = np.where(takes, xb[tap], out)
+        # the last tap to take over wins the window
+        np.maximum(winner, takes * np.uint8(k), out=winner)
 
     def pull(g):
-        gw = np.zeros((batch, ch, ho, wo, 4), dtype=g.dtype)
-        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        gw = gw.reshape(batch, ch, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return np.ascontiguousarray(gw).reshape(batch, ch, h, w)
+        gb = g.transpose(1, 2, 3, 0)
+        gx = np.empty((ch, h, w, batch), dtype=g.dtype)
+        for k, tap in enumerate(taps):
+            gx[tap] = np.where(winner == k, gb, 0)
+        return gx.transpose(3, 0, 1, 2)
 
-    return _result("max_pool2", np.ascontiguousarray(out), [(x, pull)])
+    return _result("max_pool2", out.transpose(3, 0, 1, 2), [(x, pull)])
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -447,9 +473,13 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ShapeError(f"global_avg_pool: expected 4-d input, got {x.shape}")
     batch, ch, h, w = x.shape
     n = h * w
-    return _result("global_avg_pool", x.data.mean(axis=(2, 3)),
-                   [(x, lambda g: np.broadcast_to(g[:, :, None, None] / n,
-                                                  (batch, ch, h, w)))])
+
+    def pull(g):
+        # (channels, batch) memory broadcast over H and W: batch-last
+        gb = np.ascontiguousarray((g / n).T).T
+        return np.broadcast_to(gb[:, :, None, None], (batch, ch, h, w))
+
+    return _result("global_avg_pool", x.data.mean(axis=(2, 3)), [(x, pull)])
 
 
 def channel_norm(x: Tensor, scale: Tensor, shift: Tensor, stats=None,

@@ -126,7 +126,7 @@ def sgd_momentum_step(params: ModelParams, grads: dict[str, np.ndarray],
         v = state.get(name)
         if v is None:
             v = np.zeros_like(p)
-        v = momentum * v + g.astype(p.dtype)
+        v = momentum * v + g.astype(p.dtype, copy=False)
         state[name] = v
         params.arrays[name] = p - np.float32(lr) * v
 
@@ -142,7 +142,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
         if g.shape != p.shape:
             raise T.ShapeError(f"adam step: gradient {g.shape} != param "
                                f"{p.shape} for {name!r}")
-        g = g.astype(np.float32)
+        g = g.astype(np.float32, copy=False)
         m = state.setdefault("m", {}).get(name)
         v = state.setdefault("v", {}).get(name)
         if m is None:

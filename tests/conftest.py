@@ -128,6 +128,58 @@ def tape_finetune(dataset, encoder: ModelParams, cfg: training.FinetuneConfig):
     return {name: params.arrays[name] for name in ("classifier.w", "classifier.b")}, epoch_losses
 
 
+# --- C-order pooling and the per-image crop loop (oracles for batch-last
+# pooling and the one-gather crop, which must give the same bits) ----------
+
+
+def reference_max_pool2(x: Tensor) -> Tensor:
+    """2x2 max pooling on a C-order copy of the windows: argmax picks each
+    window's first max, and the gradient is scattered back in C order."""
+    batch, ch, h, w = x.shape
+    ho, wo = h // 2, w // 2
+    windows = x.data.reshape(batch, ch, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5)
+    windows = np.ascontiguousarray(windows).reshape(batch, ch, ho, wo, 4)
+    idx = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+
+    def pull(g):
+        gw = np.zeros((batch, ch, ho, wo, 4), dtype=g.dtype)
+        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
+        gw = gw.reshape(batch, ch, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        return np.ascontiguousarray(gw).reshape(batch, ch, h, w)
+
+    return T._result("max_pool2", np.ascontiguousarray(out), [(x, pull)])
+
+
+def reference_global_avg_pool(x: Tensor) -> Tensor:
+    """Spatial mean whose gradient is broadcast from C-order (batch, channels)."""
+    batch, ch, h, w = x.shape
+    n = h * w
+    return T._result("global_avg_pool", x.data.mean(axis=(2, 3)),
+                     [(x, lambda g: np.broadcast_to(g[:, :, None, None] / n,
+                                                    (batch, ch, h, w)))])
+
+
+def reference_augment_batch(images: np.ndarray, policy: data.AugmentPolicy,
+                            rng: np.random.Generator) -> np.ndarray:
+    """``data.augment_batch`` with ``np.pad`` and one crop copy per image."""
+    n, _, h, w = images.shape
+    out = images
+    pad = policy.crop_pad
+    if pad > 0:
+        padded = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect")
+        offs = rng.integers(0, 2 * pad + 1, size=(n, 2))
+        out = np.empty_like(images)
+        for i in range(n):
+            oy, ox = offs[i]
+            out[i] = padded[i, :, oy:oy + h, ox:ox + w]
+    if policy.hflip_prob > 0:
+        flips = rng.random(n) < policy.hflip_prob
+        out = out.copy() if out is images else out
+        out[flips] = out[flips, :, :, ::-1]
+    return images.copy() if out is images else np.ascontiguousarray(out)
+
+
 def force_cpus(monkeypatch, n, blas=1):
     """Make ``threads.worker_fits`` see ``n`` usable CPUs and ``blas`` BLAS threads."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import advclr as A
 from advclr import attacks, evaluation, models
+from advclr import tensor as T
 from advclr.attacks import AttackConfig, AttackContext
+from conftest import reference_global_avg_pool, reference_max_pool2
 
 SPEC = A.EncoderSpec("toy_conv", (4, 6, 8))
 
@@ -482,3 +484,29 @@ def test_ball_and_range_invariants_hold(kind, eps, steps, random_start, seed):
     assert np.abs(out - x).max() <= eps + 1e-6
     assert out.min() >= 0.0 and out.max() <= 1.0
     assert out.dtype == np.float32
+
+
+PARITY_SPECS = [A.EncoderSpec("toy_conv", (8, 16, 32)),
+                A.EncoderSpec("resnet_small", (8, 16), blocks_per_stage=2)]
+
+
+@pytest.mark.parametrize("batch", [7, 64])
+@pytest.mark.parametrize("mode", attacks.OBJECTIVES)
+@pytest.mark.parametrize("spec", PARITY_SPECS, ids=[s.kind for s in PARITY_SPECS])
+def test_eval_objective_equals_c_order_pooling_bitwise(monkeypatch, spec, mode, batch):
+    # batch-last pooling moves no eval-mode bit: every elementwise op gives
+    # the same values in any memory order, and no eval-mode pull sums rows
+    rng = np.random.default_rng(batch)
+    params = models.init_params(spec, 10, seed=11)
+    x = rng.uniform(0, 1, (batch, 3, 16, 16)).astype(np.float32)
+    noisy = np.clip(x + rng.normal(0, 0.1, x.shape), 0, 1).astype(np.float32)
+    ctx = AttackContext(labels=rng.integers(0, 10, batch),
+                        reference=models.project(params, models.encode(params, noisy)).data)
+    results = []
+    for pools in ((T.max_pool2, T.global_avg_pool),
+                  (reference_max_pool2, reference_global_avg_pool)):
+        monkeypatch.setattr(T, "max_pool2", pools[0])
+        monkeypatch.setattr(T, "global_avg_pool", pools[1])
+        per, grad, _ = attacks._eval_objective(params, x, mode, ctx, 0.0, want_grad=True)
+        results.append((per.tobytes(), np.ascontiguousarray(grad).tobytes()))
+    assert results[0] == results[1]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from advclr.data import (AugmentPolicy, DataError, augment_batch, batch_iter,
                          load_cifar10, make_synthetic)
+from conftest import reference_augment_batch
 
 RECORD = 3073
 PER_FILE = 10000
@@ -185,6 +186,19 @@ class TestAugment:
         assert np.array_equal(images, before)
         assert out.shape == (1, 3, 8, 8)
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    @pytest.mark.parametrize("h,w", [(16, 16), (5, 9), (8, 8), (1, 4)])
+    def test_equals_pad_and_per_image_crop_bitwise(self, h, w):
+        # every pad the config allows (1 to side - 1), and past it, where
+        # np.pad reflects more than once
+        rng = np.random.default_rng(h * w)
+        images = rng.random((9, 3, h, w)).astype(np.float32)
+        for pad in range(1, 2 * max(h, w) + 1):
+            for flip_p in (0.0, 0.5):
+                policy = AugmentPolicy(crop_pad=pad, hflip_prob=flip_p)
+                got = augment_batch(images, policy, np.random.default_rng(pad))
+                want = reference_augment_batch(images, policy, np.random.default_rng(pad))
+                assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), (pad, flip_p)
 
     def test_invalid_policy(self):
         with pytest.raises(ValueError):

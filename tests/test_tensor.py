@@ -9,7 +9,8 @@ import pytest
 
 from advclr import models, tensor as T
 from advclr.tensor import NumericError, ShapeError, Tape, constant
-from conftest import composed_cross_entropy_terms
+from conftest import (composed_cross_entropy_terms, reference_global_avg_pool,
+                      reference_max_pool2)
 
 
 def leaf(arr, tape=None):
@@ -392,3 +393,112 @@ def test_conv2d_blocks_and_taps_equal_the_whole_matrix_bitwise(cin, cout, side, 
     for got, want in ((out.data, want_out), (taped_kernel.data, want_out), (gx, want_gx)):
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _axis_orders(a, b):
+    """The axes of two same-shape arrays from outermost to innermost in
+    memory, over the axes that are longer than 1 and strided in both."""
+    axes = [ax for ax in range(a.ndim) if a.shape[ax] > 1 and a.strides[ax] and b.strides[ax]]
+    return tuple(sorted(axes, key=lambda ax: -abs(a.strides[ax]))), \
+        tuple(sorted(axes, key=lambda ax: -abs(b.strides[ax])))
+
+
+def _memory_order_spy(monkeypatch):
+    """Record, for every op with a 4-d output, the memory order of the output
+    and of the gradient reaching the op, and for every pull into a 4-d op
+    output, the order of that tensor and of the gradient the pull returns."""
+    seen = []
+    real = T._result
+
+    def result(op, out, pulls):
+        def watched(t, pull):
+            def spy(g):
+                got = pull(g)
+                if g.ndim == 4:
+                    seen.append((op, "output", *_axis_orders(out, g)))
+                leaf = any(handle == t.handle for handle, _ in t.tape._leaves)
+                if t.data.ndim == 4 and not leaf:
+                    seen.append((op, "input", *_axis_orders(t.data, got)))
+                return got
+            return spy
+
+        return real(op, out, [(t, watched(t, pull)) for t, pull in pulls])
+
+    monkeypatch.setattr(T, "_result", result)
+    return seen
+
+
+ORDER_SPECS = [models.EncoderSpec("toy_conv", (8, 16, 32)),
+               models.EncoderSpec("resnet_small", (8, 16), blocks_per_stage=2)]
+
+
+@pytest.mark.parametrize("batch", [7, 64])
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("spec", ORDER_SPECS, ids=[s.kind for s in ORDER_SPECS])
+def test_gradients_keep_the_memory_order_of_what_they_differentiate(monkeypatch, spec,
+                                                                    train, batch):
+    # elementwise numpy ops on operands of two memory orders run ~10x slower,
+    # so every gradient must reach its op laid out like the op's output
+    rng = np.random.default_rng(batch)
+    params = models.init_params(spec, 10, seed=3)
+    images = rng.uniform(0, 1, (batch, 3, 16, 16)).astype(np.float32)
+    labels = rng.integers(0, 10, batch)
+    seen = _memory_order_spy(monkeypatch)
+    tape = Tape()
+    if train:   # a cross-entropy training step's graph: weight gradients
+        lifted = {name: tape.leaf(arr, requires_grad=True) for name, arr in params.arrays.items()}
+        emb = models.encode(params, images, train=True, lifted=lifted)
+        logits = models.classify(params, emb, lifted=lifted)
+    else:       # an attack's graph: the input gradient of the eval-mode model
+        x = tape.leaf(images, requires_grad=True)
+        logits = models.classify(params, models.encode(params, x))
+    tape.backward(T.softmax_cross_entropy(logits, labels).mean())
+    ops = {op for op, _, _, _ in seen}
+    assert {"conv2d", "channel_norm", "relu", "global_avg_pool"} <= ops
+    assert ("max_pool2" in ops) == (spec.kind == "resnet_small")
+    assert [entry for entry in seen if entry[2] != entry[3]] == []
+
+
+@pytest.mark.parametrize("batch_last", [True, False], ids=["batch_last", "c_order"])
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_max_pool2_equals_c_order_pooling_bitwise(batch, batch_last):
+    # ties (all four taps, and +0 against -0), NaN and infinities: the first
+    # max wins the window and its gradient, as argmax picks it
+    rng = np.random.default_rng(batch)
+    x = rng.standard_normal((batch, 5, 6, 8)).astype(np.float32)
+    flat = x.reshape(-1)
+    spots = rng.choice(flat.size, size=(5, flat.size // 12), replace=False)
+    flat[spots[0]], flat[spots[1]] = 0.0, -0.0
+    flat[spots[2]], flat[spots[3]] = np.nan, np.inf
+    flat[spots[4]] = -np.inf
+    x[:, :2] = np.round(x[:, :2])       # many whole-window and partial ties
+    if batch_last:
+        x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    g = rng.standard_normal((batch, 5, 3, 4)).astype(np.float32)
+    results = []
+    for pool in (T.max_pool2, reference_max_pool2):
+        assert np.ascontiguousarray(pool(constant(x)).data).tobytes() == \
+            np.ascontiguousarray(pool(T.Tensor(x)).data).tobytes()
+        tape = Tape()
+        xt = T.Tensor(x, tape, tape._next_handle())     # keeps x's memory order
+        tape._leaves.append((xt.handle, x))
+        out = pool(xt)
+        with np.errstate(invalid="ignore"):     # the loss sums +inf and -inf
+            grad = tape.backward(T.tsum(T.mul(out, constant(g))))[xt.handle]
+        results.append((np.ascontiguousarray(out.data).tobytes(),
+                         np.ascontiguousarray(grad).tobytes()))
+    assert results[0] == results[1]
+
+
+def test_global_avg_pool_gradient_equals_c_order_broadcast_bitwise():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((9, 4, 2, 6)).astype(np.float32)
+    w = rng.standard_normal((5, 4, 3, 3)).astype(np.float32)
+    g = rng.standard_normal((9, 5)).astype(np.float32)
+    grads = []
+    for pool in (T.global_avg_pool, reference_global_avg_pool):
+        tape = Tape()
+        xt = tape.leaf(x, requires_grad=True)
+        h = T.relu(T.conv2d(xt, constant(w)))     # batch-last, as in the encoder
+        grads.append(tape.backward(T.tsum(T.mul(pool(h), constant(g))))[xt.handle].tobytes())
+    assert grads[0] == grads[1]
