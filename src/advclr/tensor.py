@@ -429,40 +429,30 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     return _result("conv2d", out, [(x, pull_x), (w, pull_w)])
 
 
-def _takes(later: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Where ``later`` displaces ``first`` under argmax's rule: larger, or NaN
-    against a number; a tie, or NaN against NaN, keeps the first."""
-    return (later > first) | (np.isnan(later) & ~np.isnan(first))
-
-
 def max_pool2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; spatial dims must be even.
 
     Pools in batch-last memory (channels, H, W, batch) and returns an NCHW
-    view of it, so a conv2d output stays batch-last. Each window's taps are
-    scanned in argmax order (0,0), (0,1), (1,0), (1,1): the first max wins,
-    and the gradient flows to it alone.
+    view of it, so a conv2d output stays batch-last. argmax picks each
+    window's first max over the taps (0,0), (0,1), (1,0), (1,1), and the
+    gradient flows to it alone.
     """
     if x.ndim != 4:
         raise ShapeError(f"max_pool2: expected 4-d input, got {x.shape}")
     batch, ch, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool2: spatial dims must be even, got {h}x{w}")
-    xb = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
-    taps = [(slice(None), slice(u, None, 2), slice(v, None, 2)) for u in (0, 1) for v in (0, 1)]
-    out, winner = xb[taps[0]], np.zeros(xb[taps[0]].shape, np.uint8)
-    for k, tap in enumerate(taps[1:], start=1):
-        takes = _takes(xb[tap], out)
-        out = np.where(takes, xb[tap], out)
-        # the last tap to take over wins the window
-        np.maximum(winner, takes * np.uint8(k), out=winner)
+    ho, wo = h // 2, w // 2
+    windows = x.data.transpose(1, 2, 3, 0).reshape(ch, ho, 2, wo, 2, batch)
+    windows = np.ascontiguousarray(windows.transpose(0, 1, 3, 5, 2, 4)).reshape(ch, ho, wo, batch, 4)
+    idx = windows.argmax(axis=-1)[..., None]
+    out = np.take_along_axis(windows, idx, axis=-1)[..., 0]
 
     def pull(g):
-        gb = g.transpose(1, 2, 3, 0)
-        gx = np.empty((ch, h, w, batch), dtype=g.dtype)
-        for k, tap in enumerate(taps):
-            gx[tap] = np.where(winner == k, gb, 0)
-        return gx.transpose(3, 0, 1, 2)
+        gw = np.zeros((ch, ho, wo, batch, 4), dtype=g.dtype)
+        np.put_along_axis(gw, idx, g.transpose(1, 2, 3, 0)[..., None], axis=-1)
+        gw = gw.reshape(ch, ho, wo, batch, 2, 2).transpose(0, 1, 4, 2, 5, 3)
+        return np.ascontiguousarray(gw).reshape(ch, h, w, batch).transpose(3, 0, 1, 2)
 
     return _result("max_pool2", out.transpose(3, 0, 1, 2), [(x, pull)])
 
