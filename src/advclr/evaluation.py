@@ -15,24 +15,26 @@ a cell of that key ``steps_from_clean``. Its misclassified rows give the
 clean accuracy, and every cell's attack reads it as ``context.clean`` in
 place of evaluating the batch again. The batch and the shared evaluation are
 read-only, so an attack that wrote into them would raise instead of
-corrupting the next cell. When :func:`threads.worker_fits` allows it, a
-worker thread and the calling one take each batch's cells from one queue,
-longest first; each cell owns its generator and context, so every count is
-the one the cells give in turn. ``clean_accuracy`` is the sweep with no
-cells (one gradient-free ``supervised_ce`` evaluation per batch),
+corrupting the next cell. When :func:`threads.worker_fits` allows it and
+the process runs no other thread, a child forked after the clean
+evaluations and the calling process take each batch's cells from one queue,
+longest first (``threads.share_with_child``); a second thread would wait on
+the interpreter lock at every numpy call instead. The child inherits the
+model, the batch and the clean evaluations, and sends back each count it
+made with its cell's generator state, so that the next batch draws on from
+where that cell stopped. Each cell owns its generator and context, so every
+count is the one the cells give in turn. ``clean_accuracy`` is the sweep
+with no cells (one gradient-free ``supervised_ce`` evaluation per batch),
 ``robust_accuracy`` its one-attack case, and ``eval_table`` runs it per
-model. Reports serialize to JSON (round-trip safe) and project to a flat CSV
-with columns model, attack, epsilon, accuracy.
+model. Reports serialize to JSON (round-trip safe) and project to a flat
+CSV with columns model, attack, epsilon, accuracy.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Sequence
@@ -84,6 +86,13 @@ class EvalReport:
                                           for v in (c.epsilon, c.robust_accuracy)]
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers):
             raise DataError("malformed report: accuracies and epsilons must be numbers")
+        counts = [rep.seed] + [c.sample_count for c in rep.cells]
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in counts):
+            raise DataError("malformed report: the seed and sample counts must be integers")
+        names = [rep.model_id] + [v for c in rep.cells for v in (c.attack, c.objective)]
+        if not all(isinstance(v, str) for v in names):
+            raise DataError("malformed report: the model id, attacks and objectives "
+                            "must be strings")
         return rep
 
     def to_json(self) -> str:
@@ -124,21 +133,6 @@ def _read_only(arr):
     return arr
 
 
-def _drain(queue: deque, run_cell):
-    """Run cells from ``queue`` until it is empty; a failure empties it, so
-    that the other thread stops after its current cell."""
-    try:
-        while True:
-            try:
-                j = queue.popleft()
-            except IndexError:
-                return
-            run_cell(j)
-    except BaseException:
-        queue.clear()
-        raise
-
-
 def _sweep(model: ModelParams, dataset: Dataset,
            cells: Sequence[tuple[AttackConfig, int]],
            batch_size: int) -> tuple[int, list[int]]:
@@ -157,35 +151,34 @@ def _sweep(model: ModelParams, dataset: Dataset,
         cell_keys.append(key)
     keys = keys or {("supervised_ce", 0.0): False}
     rngs = [np.random.default_rng(seed) for _, seed in cells]
-    # the longest cells first, so that two threads finish a batch together
+    # the longest cells first, so that two processes finish a batch together
     order = sorted(range(len(cells)), key=lambda j: -cells[j][0].num_steps)
     clean_correct, robust = 0, [0] * len(cells)
-    two_threads = len(cells) > 1 and threads.worker_fits()
-    # leaving the block joins the worker, also when this thread raised
-    with ThreadPoolExecutor(1) if two_threads else contextlib.nullcontext() as worker:
-        for start in range(0, len(dataset), batch_size):
-            images = _read_only(np.asarray(dataset.images[start:start + batch_size],
-                                           dtype=np.float32))
-            labels = _read_only(np.asarray(dataset.labels[start:start + batch_size]))
-            ctx = AttackContext(labels=labels)
-            clean = {key: tuple(map(_read_only, attacks._eval_objective(
-                         model, images, key[0], ctx, key[1], want_grad=grad)))
-                     for key, grad in keys.items()}
-            clean_correct += int((~next(iter(clean.values()))[2]).sum())
 
-            def run_cell(j):
-                ctx = AttackContext(labels=labels, rng=rngs[j], clean=clean[cell_keys[j]])
-                attacks.run_attack(model, images, cells[j][0], ctx)
-                robust[j] += int((~ctx.fooled).sum())
+    def cell_done(j, result):
+        count, rngs[j].bit_generator.state = result
+        robust[j] += count
 
-            # each cell owns its generator and context and reads only the
-            # read-only batch and clean evaluation, so its count does not
-            # depend on which thread runs it, or when
-            queue = deque(order)
-            job = worker.submit(_drain, queue, run_cell) if worker else None
-            _drain(queue, run_cell)
-            if job is not None:
-                job.result()
+    for start in range(0, len(dataset), batch_size):
+        images = _read_only(np.asarray(dataset.images[start:start + batch_size],
+                                       dtype=np.float32))
+        labels = _read_only(np.asarray(dataset.labels[start:start + batch_size]))
+        ctx = AttackContext(labels=labels)
+        clean = {key: tuple(map(_read_only, attacks._eval_objective(
+                     model, images, key[0], ctx, key[1], want_grad=grad)))
+                 for key, grad in keys.items()}
+        clean_correct += int((~next(iter(clean.values()))[2]).sum())
+
+        # each cell owns its generator and context and reads only the
+        # read-only batch and clean evaluation, so its count does not depend
+        # on which process runs it, or when; the generator's state comes
+        # back with the count, so the next batch draws on from it
+        def run_cell(j):
+            ctx = AttackContext(labels=labels, rng=rngs[j], clean=clean[cell_keys[j]])
+            attacks.run_attack(model, images, cells[j][0], ctx)
+            return int((~ctx.fooled).sum()), rngs[j].bit_generator.state
+
+        threads.share_with_child(order, run_cell, cell_done)
     return clean_correct, robust
 
 

@@ -1,5 +1,5 @@
 import os
-import threading
+import time
 
 import numpy as np
 import pytest
@@ -186,23 +186,49 @@ def force_cpus(monkeypatch, n, blas=1):
     monkeypatch.setattr(threads, "blas_threads", lambda: blas)
 
 
-def cell_threads(monkeypatch, fail_on=None):
-    """Record the thread of each cell, for a sweep with a worker thread: the
-    calling thread's cells wait until the worker has started one. ``fail_on``
-    ("main" or "worker") names the thread whose cells raise NumericError."""
-    main, worker_started = threading.get_ident(), threading.Event()
-    real_run, seen = attacks.run_attack, []
+def cell_processes(monkeypatch, log, fail_on=None, forked=True):
+    """Record the pid and the generator's starting state of each cell in the
+    file ``log``, which both processes of a forked sweep append to, and
+    return a function that reads them back as (pid, state) pairs. When
+    ``forked``, the calling process's first cell of each batch waits until
+    that batch's child has started one. ``fail_on`` ("parent" or "child")
+    names the process whose cells raise NumericError."""
+    parent, real_run = os.getpid(), attacks.run_attack
+    batches = []
 
-    def run_spy(*args, **kwargs):
-        on_main = threading.get_ident() == main
-        seen.append(threading.get_ident())
-        if not on_main:
-            worker_started.set()
-        if fail_on == ("main" if on_main else "worker"):
-            raise NumericError(f"cell failed on the {fail_on} thread")
-        if on_main:
-            worker_started.wait(10)
-        return real_run(*args, **kwargs)
+    def cells():
+        lines = log.read_text().splitlines() if log.exists() else []
+        return [tuple(map(int, line.split())) for line in lines]
+
+    def run_spy(model, x, cfg, context):
+        in_parent = os.getpid() == parent
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {context.rng.bit_generator.state['state']['state']}\n")
+        if fail_on == ("parent" if in_parent else "child"):
+            raise NumericError(f"cell failed in the {fail_on} process")
+        if forked and in_parent and (not batches or x is not batches[-1]):
+            batches.append(x)
+            deadline = time.monotonic() + 10
+            while (len({pid for pid, _ in cells()} - {parent}) < len(batches)
+                   and time.monotonic() < deadline):
+                time.sleep(1e-3)
+        return real_run(model, x, cfg, context)
 
     monkeypatch.setattr(attacks, "run_attack", run_spy)
-    return seen
+    return cells
+
+
+def open_fds() -> int:
+    """How many file descriptors this process has open."""
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or exited."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process (waitpid gave {left})")

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,7 @@ import advclr
 from advclr import attacks, cli, config, evaluation, models, threads
 from advclr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK
 from advclr.tensor import NumericError
-from conftest import cell_threads, force_cpus
+from conftest import cell_processes, force_cpus
 
 TINY_CFG = """
 [run]
@@ -261,6 +260,16 @@ def test_bad_checkpoint_is_data_error(cfg_file, tmp_path, capsys, damage):
     assert str(ckpt) in capsys.readouterr().err
 
 
+def _report(**fields) -> bytes:
+    """A one-cell report file with some top-level or cell fields replaced."""
+    cell = {"attack": "pgd", "epsilon": 0.03, "objective": "supervised_ce",
+            "robust_accuracy": 0.4, "sample_count": 10}
+    report = {"model_id": "m", "clean_accuracy": 0.5, "seed": 1, "timestamp": ""}
+    for name, value in fields.items():
+        (cell if name in cell else report)[name] = value
+    return json.dumps(dict(report, cells=[cell])).encode()
+
+
 BAD_REPORTS = {
     "truncated-json": b"{",
     "missing-field": b'{"model_id": "m"}',
@@ -268,7 +277,22 @@ BAD_REPORTS = {
                     b'"cells": [{"attack": "pgd"}]}',
     "text-accuracy": b'{"model_id": "m", "clean_accuracy": "high", "seed": 0, "cells": []}',
     "not-utf8": b'{"model_id": "\xff"}',
+    "list-model-id": _report(model_id=["x"]),
+    "float-seed": _report(seed=1.5),
+    "bool-seed": _report(seed=True),
+    "number-attack": _report(attack=3),
+    "null-objective": _report(objective=None),
+    "text-sample-count": _report(sample_count="ten"),
+    "bool-sample-count": _report(sample_count=True),
 }
+
+
+def test_good_report_file_renders(tmp_path, capsys):
+    # the report the bad ones alter in one field each
+    path = tmp_path / "report.json"
+    path.write_bytes(_report())
+    assert cli.main(["report", "--report", str(path)]) == EXIT_OK
+    assert "pgd" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("content", BAD_REPORTS.values(), ids=BAD_REPORTS)
@@ -387,16 +411,16 @@ def test_failing_cw_view_is_numeric_error(cfg_file, tmp_path, monkeypatch, capsy
 
 def test_failing_cell_on_the_worker_is_numeric_error(cfg_file, tmp_path, monkeypatch,
                                                      capsys):
-    # two usable CPUs and one BLAS thread, so a worker thread shares the cells
+    # two usable CPUs and one BLAS thread, so a forked child shares the cells
     ckpt = str(tmp_path / "model.ckpt")
     models.save_checkpoint(ckpt, models.init_params(
         models.EncoderSpec("toy_conv", (4, 6, 8)), num_classes=4, seed=0, proj_dim=8))
     force_cpus(monkeypatch, 2)
-    seen = cell_threads(monkeypatch, fail_on="worker")
+    cells = cell_processes(monkeypatch, tmp_path / "cells.log", fail_on="child")
     assert cli.main(["evaluate", "--config", cfg_file, "--checkpoint", ckpt,
                      "--run-dir", str(tmp_path / "ev")]) == EXIT_NUMERIC
-    assert set(seen) - {threading.get_ident()}     # the worker ran a cell
-    assert "cell failed on the worker thread" in capsys.readouterr().err
+    assert {pid for pid, _ in cells()} - {os.getpid()}     # the child ran a cell
+    assert "cell failed in the child process" in capsys.readouterr().err
     assert not (tmp_path / "ev").exists()
 
 

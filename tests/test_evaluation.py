@@ -1,8 +1,10 @@
 """Accuracy measurement, the report container, and its projections."""
 
 import math
-import sys
+import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from advclr.attacks import AttackConfig, AttackContext
 from advclr.data import DataError
 from advclr.evaluation import EvalReport
 from advclr.tensor import NumericError
-from conftest import cell_threads, force_cpus
+from conftest import cell_processes, force_cpus, open_fds
 
 
 def rigged_constant_model(label, num_classes=10):
@@ -300,45 +302,129 @@ class TestEvalTable:
         assert "clean accuracy" in text and "fgsm" in text
 
 
-class TestThreadedSweep:
-    """With two usable CPUs per BLAS thread a worker thread shares each
-    batch's cells, and the reports are bitwise those of one thread."""
+class TestForkedSweep:
+    """With two usable CPUs per BLAS thread a forked child shares each
+    batch's cells, and the reports are bitwise those of one process."""
 
     GRID = [AttackConfig("fgsm", 0.03),
             AttackConfig("pgd", 0.03, num_steps=3, random_start=True),
-            AttackConfig("cw", 0.03, num_steps=3, kappa=0.5),
+            AttackConfig("cw", 0.03, num_steps=3, kappa=0.5, random_start=True),
             AttackConfig("pgd", 0.0, num_steps=2, random_start=True),
             AttackConfig("fgsm", 0.08)]
 
-    def test_two_threads_equal_one(self, toy_baseline, toy_data, monkeypatch):
+    def reports(self, model, test, batch=70):
+        reports = evaluation.eval_table([("m", model)], self.GRID, test, seed=4,
+                                        batch_size=batch)
+        return [dict(r.to_dict(), timestamp=None) for r in reports]
+
+    def test_two_processes_equal_one(self, toy_baseline, toy_data, monkeypatch, tmp_path):
+        # several batches, the last one partial, and random-start cells, the
+        # second longest of which the child takes: a generator state the
+        # child did not send back would repeat its draws in the next batch
         _, test = toy_data
         batch = 70
-        assert len(test) % batch        # a partial last batch
-        runs = {}
+        assert len(test) % batch
+        runs, seen = {}, {}
         for cpus in (1, 2):
             force_cpus(monkeypatch, cpus)
-            seen = cell_threads(monkeypatch) if cpus == 2 else []
-            threads, interval = threading.active_count(), sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)     # switch threads often: a lost count shows
-            try:
-                reports = evaluation.eval_table([("m", toy_baseline)], self.GRID, test,
-                                                seed=4, batch_size=batch)
-            finally:
-                sys.setswitchinterval(interval)
-            assert threading.active_count() == threads
-            runs[cpus] = [dict(r.to_dict(), timestamp=None) for r in reports]
+            cells = cell_processes(monkeypatch, tmp_path / f"cells-{cpus}.log",
+                                   forked=cpus == 2)
+            fds = open_fds()
+            runs[cpus] = self.reports(toy_baseline, test, batch)
+            assert open_fds() == fds
+            seen[cpus] = cells()
             monkeypatch.undo()
         assert runs[1] == runs[2]
-        assert threading.get_ident() in seen and len(set(seen)) == 2
-        assert len(seen) == len(self.GRID) * math.ceil(len(test) / batch)
+        # every cell of every batch starts from the generator state it has in turn
+        assert sorted(state for _, state in seen[1]) == sorted(state for _, state in seen[2])
+        batches = math.ceil(len(test) / batch)
+        pids = [pid for pid, _ in seen[2]]
+        assert os.getpid() in pids and len(set(pids)) == 1 + batches   # a child per batch
+        assert len(pids) == len(self.GRID) * batches
 
-    @pytest.mark.parametrize("fail_on", ["main", "worker"])
-    def test_failing_cell_is_raised_and_the_worker_joined(self, toy_baseline, toy_data,
-                                                           monkeypatch, fail_on):
+    @pytest.mark.parametrize("gate", ["thread-alive", "no-fork"])
+    def test_in_turn_when_the_process_cannot_fork(self, toy_baseline, toy_data,
+                                                  monkeypatch, gate):
+        _, test = toy_data
+        force_cpus(monkeypatch, 1)
+        expected = self.reports(toy_baseline, test)
+        force_cpus(monkeypatch, 2)
+        stop = threading.Event()
+        alive = threading.Thread(target=stop.wait, args=(10,))
+        if gate == "no-fork":
+            monkeypatch.delattr(os, "fork")     # as on Windows
+        else:
+            # forking beside another thread can deadlock the child
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
+            alive.start()
+        try:
+            assert self.reports(toy_baseline, test) == expected
+        finally:
+            stop.set()
+        if gate == "thread-alive":
+            alive.join(10)
+            assert not alive.is_alive()
+
+    @pytest.mark.parametrize("fail_on", ["parent", "child"])
+    def test_failing_cell_is_raised_and_the_child_reaped(self, toy_baseline, toy_data,
+                                                         monkeypatch, tmp_path, fail_on):
         _, test = toy_data
         force_cpus(monkeypatch, 2)
-        cell_threads(monkeypatch, fail_on)
-        threads = threading.active_count()
-        with pytest.raises(NumericError, match=f"on the {fail_on} thread"):
+        cells = cell_processes(monkeypatch, tmp_path / "cells.log", fail_on)
+        fds = open_fds()
+        with pytest.raises(NumericError, match=f"in the {fail_on} process"):
             evaluation.eval_table([("m", toy_baseline)], self.GRID, test, batch_size=100)
-        assert threading.active_count() == threads
+        assert open_fds() == fds
+        if fail_on == "child":
+            assert {pid for pid, _ in cells()} - {os.getpid()}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_while_waiting_kills_the_child(self, toy_baseline, toy_data,
+                                                     monkeypatch):
+        # the child's cells hang; the parent finishes its own, waits for the
+        # child, and is interrupted there
+        _, test = toy_data
+        force_cpus(monkeypatch, 2)
+        parent, real_run = os.getpid(), attacks.run_attack
+
+        def hang_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return real_run(*args, **kwargs)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(attacks, "run_attack", hang_in_child)
+        fds, start = open_fds(), time.monotonic()
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(KeyboardInterrupt):
+                evaluation.eval_table([("m", toy_baseline)], self.GRID, test, batch_size=500)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
+        assert open_fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_that_dies_without_results_is_an_error(self, toy_baseline, toy_data,
+                                                         monkeypatch, tmp_path):
+        _, test = toy_data
+        force_cpus(monkeypatch, 2)
+        parent, real_run = os.getpid(), attacks.run_attack
+
+        def die_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(attacks, "run_attack", die_in_child)
+        cell_processes(monkeypatch, tmp_path / "cells.log")     # the child takes a cell
+        fds = open_fds()
+        with pytest.raises(ChildProcessError, match="sent no results"):
+            evaluation.eval_table([("m", toy_baseline)], self.GRID, test, batch_size=500)
+        assert open_fds() == fds
